@@ -267,7 +267,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
+        # unreadable input file: a missing path, a directory, bytes that are
+        # not UTF-8
         sys.stderr.write(f"error: {e}\n")
         return 2
 

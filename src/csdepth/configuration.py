@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .errors import InputError, ParseError
@@ -27,6 +28,7 @@ from .exactgeom import (
     Point,
     point_from_strings,
     point_to_strings,
+    scale_to_integers,
 )
 
 Transversal = tuple[int, ...]
@@ -120,21 +122,25 @@ def _parse_classes(doc: dict, classes: int, points_per_class: int,
     return tuple(out)
 
 
+def _parse_dimension(doc: dict) -> int:
+    d = doc.get("d")
+    # bool is a subclass of int: JSON true must not pass as d = 1
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ParseError(f"field 'd' must be a positive integer, got {d!r}")
+    return d
+
+
 def parse_configuration(text: str) -> Configuration:
     """Parse a configuration document, rejecting wrong counts and bad rationals."""
     doc = _load_document(text)
-    d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
-        raise ParseError(f"field 'd' must be a positive integer, got {d!r}")
+    d = _parse_dimension(doc)
     return Configuration(d, _parse_classes(doc, d + 1, d + 1, "a configuration"))
 
 
 def parse_pairs(text: str) -> tuple[tuple[Point, Point], ...]:
     """Parse a pair file: d colour classes of 2 points each in dimension d."""
     doc = _load_document(text)
-    d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
-        raise ParseError(f"field 'd' must be a positive integer, got {d!r}")
+    d = _parse_dimension(doc)
     classes = _parse_classes(doc, d, 2, "a pair family")
     return tuple((cls[0], cls[1]) for cls in classes)
 
@@ -176,10 +182,22 @@ def validate(config: Configuration) -> ValidationReport:
     barycentric coordinates strictly positive").
     general_position: every d+1 points are affinely independent and every d
     points are linearly independent (no simplex facet hyperplane through the
-    origin); failures are listed as point-index subsets.
+    origin); failures are listed as point-index subsets, all (d+1)-subsets
+    before all d-subsets, each group in lexicographic order.
+
+    The points are tested as given.  Every minor of the configuration's
+    points is computed once, for the length of the call, by Laplace
+    expansion over the minors one size smaller: the d×d minors decide the
+    d-subsets, and the affine determinant of each (d+1)-subset is its
+    expansion along the column of ones into d+1 of them, weighted by the
+    points' scale factors.  The report is cached on the configuration
+    object, so every later call returns the same report without
+    recomputing it.
     """
+    cached = config.__dict__.get("_validation")
+    if cached is not None:
+        return cached
     from .depth import origin_in_convex_hull  # local import: depth builds on this module
-    from .exactgeom import int_det, scale_to_integers
 
     d = config.dimension
     zero_in_core = all(origin_in_convex_hull(cls) for cls in config.colours)
@@ -195,22 +213,46 @@ def validate(config: Configuration) -> ValidationReport:
                 break
 
     labels = []
-    scaled = []
+    rows = []
     for c, j, p in config.indexed_points():
+        v, m = scale_to_integers(p)
         labels.append((c, j))
-        scaled.append(scale_to_integers(p)[0])
-    witnesses = []
-    for subset in itertools.combinations(range(len(labels)), d + 1):
-        rows = [list(scaled[i]) + [1] for i in subset]
-        if int_det(rows) == 0:
-            witnesses.append(tuple(labels[i] for i in subset))
-    for subset in itertools.combinations(range(len(labels)), d):
-        rows = [list(scaled[i]) for i in subset]
-        if int_det(rows) == 0:
-            witnesses.append(tuple(labels[i] for i in subset))
-    return ValidationReport(
+        rows.append(v + (m,))
+    n = len(rows)
+    # Row i is point i times its scale factor m_i, followed by m_i.  The
+    # k×k minor of a set of rows on their first k columns is the Laplace
+    # expansion along column k-1 over the (k-1)×(k-1) minors, which are
+    # read from a flat list by colex rank: the sorted subset s_0 < s_1 < ...
+    # has rank sum_j C(s_j, j+1).  At k = d the minors are det[m_i p_i], at
+    # k = d+1 they are det[m_i p_i, m_i]: det[p_i] and det[p_i, 1] of the
+    # points as given, times the positive product of their m_i.
+    up = [[comb(s, j + 1) for s in range(n)] for j in range(d + 1)]
+    minors = [1]
+    linear = []
+    for k in range(1, d + 2):
+        level = [0] * comb(n, k) if k <= d else None
+        zeros = []
+        for subset in itertools.combinations(range(n), k):
+            rank = sum(up[j - 1][subset[j]] for j in range(1, k))  # subset - s_0
+            total = 0
+            for j, i in enumerate(subset):
+                term = rows[i][k - 1] * minors[rank]
+                total += term if (j + k - 1) % 2 == 0 else -term
+                if j < k - 1:
+                    rank += up[j][i] - up[j][subset[j + 1]]  # subset - s_(j+1)
+            if level is not None:
+                level[sum(up[j][s] for j, s in enumerate(subset))] = total
+            if total == 0 and k >= d:
+                zeros.append(tuple(labels[i] for i in subset))
+        if k == d:
+            linear = zeros
+        minors = level
+    witnesses = tuple(zeros + linear)
+    report = ValidationReport(
         zero_in_core=zero_in_core,
         zero_interior=zero_interior,
         general_position=not witnesses,
-        degenerate_witnesses=tuple(witnesses),
+        degenerate_witnesses=witnesses,
     )
+    object.__setattr__(config, "_validation", report)
+    return report

@@ -79,9 +79,22 @@ class DepthReport:
         }
 
 
-def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]],
+def _signed_minors(ints: Sequence[IntVec]) -> list[int]:
+    """Cofactors along the column of ones of det[v_i, 1] for d+1 integer
+    vectors: entry i is (-1)^(d+1+i) times the determinant of the vectors
+    other than v_i, so the entries sum to det[v_i, 1]."""
+    n = len(ints)
+    cs = []
+    for i in range(n):
+        minor = int_det(ints[:i] + ints[i + 1:])
+        cs.append(minor if (n + i) % 2 == 0 else -minor)
+    return cs
+
+
+def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[int],
                             want_coeffs: bool) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
-    """Closed containment of the origin in the hull of d+1 pre-scaled vertices.
+    """Closed containment of the origin in the hull of d+1 pre-scaled vertices,
+    given their signed minors `cs` (see `_signed_minors`).
 
     Cramer path when the vertices are affinely independent, exact
     feasibility otherwise.  Returned coefficients are barycentric for the
@@ -89,12 +102,6 @@ def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]],
     """
     n = len(scaled)
     d = n - 1
-    cs = []
-    for i in range(n):
-        cols = [scaled[j][0] for j in range(n) if j != i]
-        rows = [[cols[a][k] for a in range(d)] for k in range(d)]
-        minor = int_det(rows)
-        cs.append(minor if (d + 1 + i) % 2 == 0 else -minor)
     total = sum(cs)
     if total != 0:
         contained = all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
@@ -140,7 +147,8 @@ def simplex_contains_origin(vertices: Sequence[Point]
     for v in vertices:
         if len(v) != d:
             raise InputError(f"expected {d} coordinates per vertex, got {len(v)}")
-    return _contains_origin_scaled([scale_to_integers(v) for v in vertices], True)
+    scaled = [scale_to_integers(v) for v in vertices]
+    return _contains_origin_scaled(scaled, _signed_minors([v for v, _ in scaled]), True)
 
 
 def origin_in_convex_hull(points: Sequence[Point]) -> bool:
@@ -192,12 +200,33 @@ def cone_contains(cone: ConeSpec, x: Point) -> bool:
 
 def colourful_depth(config: Configuration) -> DepthReport:
     """Count, over all transversals, the closed colourful simplices containing
-    the origin, with barycentric witnesses in lexicographic order."""
+    the origin, with barycentric witnesses in lexicographic order.
+
+    The points are tested as given.  A transversal's signed minor for colour
+    i depends only on its points of the other colours, so each colourful
+    d×d minor is computed once per call and serves the d+1 transversals
+    that differ in colour i alone.
+    """
+    d = config.dimension
+    n = d + 1
     scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
+    # minors[i] lists the signed minors for colour i with the other colours'
+    # points chosen in lexicographic order
+    minors = []
+    for i in range(n):
+        others = [scaled[c] for c in range(n) if c != i]
+        sign = 1 if (n + i) % 2 == 0 else -1
+        minors.append([sign * int_det([others[a][j][0] for a, j in enumerate(rest)])
+                       for rest in itertools.product(range(n), repeat=d)])
+    # Transversal t (in lexicographic order) has the base-n digits `choice`;
+    # deleting digit i gives the position of its minor in minors[i].
+    high = [n ** (n - i) for i in range(n)]
+    low = [n ** (d - i) for i in range(n)]
     witnesses = []
-    for choice in enumerate_transversals(config):
+    for t, choice in enumerate(enumerate_transversals(config)):
         verts = [scaled[c][j] for c, j in enumerate(choice)]
-        ok, coeffs = _contains_origin_scaled(verts, True)
+        cs = [minors[i][t // high[i] * low[i] + t % low[i]] for i in range(n)]
+        ok, coeffs = _contains_origin_scaled(verts, cs, True)
         if ok:
             witnesses.append((choice, coeffs))
     return DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))

@@ -68,14 +68,6 @@ def vec_neg(a: Point) -> Point:
     return tuple(-x for x in a)
 
 
-def vec_add(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(a: Point, s: Fraction) -> Point:
-    return tuple(s * x for x in a)
-
-
 def is_zero_vec(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 

@@ -58,6 +58,29 @@ class TestDepth:
         code, _, err = run_cli(capsys, "depth", "/nonexistent/x.json")
         assert code == 2
 
+    def test_directory_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "depth", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"d": 1, "colours": "\xe9"}')
+        code, out, err = run_cli(capsys, "depth", str(bad))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"d": True, "colours": [[["1"], ["-1"]],
+                                                           [["1"], ["-1"]]]}))
+        code, out, err = run_cli(capsys, "depth", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestDDepth:
     def test_happy_path(self, tmp_path, capsys):
@@ -109,6 +132,14 @@ class TestCrossCheck:
         path.write_text(json.dumps(pairs))
         doc = run_json(capsys, "cross-check", str(path))
         assert doc["result"]["covered"] is True
+
+    def test_boolean_dimension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"d": True, "colours": [[["1"], ["-1"]]]}))
+        code, out, err = run_cli(capsys, "cross-check", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
     def test_uncovered_pairs(self, tmp_path, capsys):
         pairs = {"d": 2, "colours": [[["1", "0"], ["1", "1"]],

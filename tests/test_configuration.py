@@ -182,6 +182,22 @@ class TestValidate:
         assert (other.zero_in_core, other.zero_interior, other.general_position) == \
             (flags.zero_in_core, flags.zero_interior, flags.general_position)
 
+    def test_points_tested_as_given_not_rescaled(self):
+        # Each point has its own integer scale factor.  (1,0), (1/2,1/2) and
+        # (0,1) all lie on x+y=1 although their scaled forms (1,0), (1,1),
+        # (0,1) do not; (1,0), (1/2,1/2), (1/3,-1) are affinely independent
+        # although their scaled forms (1,0), (1,1), (1,-3) lie on x=1.
+        config = Configuration(2, (
+            (fp(1, 0), fp(-1, 1), fp(Fraction(-1, 2), -1)),
+            (fp(Fraction(1, 2), Fraction(1, 2)), fp(-1, Fraction(-1, 3)),
+             fp(Fraction(1, 3), -1)),
+            (fp(0, 1), fp(-1, Fraction(-2, 7)), fp(Fraction(2, 5), -1)),
+        ))
+        report = validate(config)
+        assert ((0, 0), (1, 0), (2, 0)) in report.degenerate_witnesses
+        assert ((0, 0), (1, 0), (1, 2)) not in report.degenerate_witnesses
+        assert report.general_position is False
+
     def test_boundary_origin_not_interior(self):
         # origin is a vertex of the first colour's hull
         config = Configuration(1, ((fp(0), fp(1)), (fp(-1), fp(1))))
