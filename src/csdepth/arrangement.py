@@ -7,10 +7,14 @@ full-dimensional cell therefore implies coverage of all of space (the cones
 are closed and the open cells are dense), which turns the continuous
 covering question into a finite, exactly decidable one.
 
-Cells are enumerated breadth-first over wall-crossing adjacency: flipping
-one sign of a realizable sign vector yields a neighbour candidate whose
-realizability is decided by exact strict feasibility.  No perturbation or
-symbolic infinitesimals are involved.
+Cells are enumerated breadth-first over wall-crossing adjacency.  Flipping
+sign j of a cell gives a cell exactly when the other signs are those of a
+wall on hyperplane j, i.e. of a cell of the arrangement restricted to H_j.
+Those are enumerated by the same procedure one dimension lower, in integer
+coordinates of H_j, down to dimension 1; a flip is then a table lookup, and
+the neighbour's witness is the wall point pushed off H_j by an exact
+integer step.  No LP, floating point, perturbation or symbolic
+infinitesimals are involved, and every witness is re-checked strictly.
 
 Exact coverage is supported for dimension <= 4 by default; the cell count
 grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
@@ -20,12 +24,12 @@ flag (80 hyperplanes, millions of cells: hours, not seconds).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .depth import ConeSpec, cone_contains
@@ -136,136 +140,90 @@ def _cell_witness(normals: Sequence[IntVec], sigma: SignVector,
     return max_slack_point(rows, len(normals[0]))
 
 
-def _angle_key_order(vectors: Sequence[tuple[IntVec, int, int]]) -> list:
-    """Sort (vector, row, sign) entries counterclockwise from the +x axis."""
-    def half(w):
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+def _walls(normals: Sequence[IntVec], j: int) -> dict[SignVector, IntVec]:
+    """One point of every wall on hyperplane j, keyed by the signs of the
+    other hyperplanes there.
 
-    def cmp(a, b):
-        u, v = a[0], b[0]
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u[0] * v[1] - u[1] * v[0]
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    return sorted(vectors, key=functools.cmp_to_key(cmp))
-
-
-def _max_gap_witness(normals_2d: Sequence[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Exact witness of {y : n . y > 0 for all n}, or None.
-
-    The already angularly sorted normals fit strictly inside an open
-    halfplane iff some cyclic gap between consecutive normals exceeds a half
-    turn.  With u before and v after that gap, the normals occupy the arc
-    from v counterclockwise to u (shorter than a half turn), and the sum of
-    u rotated a quarter turn clockwise and v rotated counterclockwise lies
-    strictly within a quarter turn of the whole arc.  Plain u+v would only
-    bisect correctly for equal norms.
+    The walls are the cells of the arrangement restricted to H_j.  With p a
+    nonzero coordinate of h = normals[j], the integer vectors
+    b_i = h_p e_i - h_i e_p (i != p) span H_j, and hyperplane k restricts to
+    the normal (n_k . b_i)_i.  Restricted normals that coincide up to sign
+    are merged, and each original hyperplane keeps the sign relating it to
+    its merged one.
     """
-    n = len(normals_2d)
-    if n == 0:
-        return (1, 0)
-    distinct = False
-    first = normals_2d[0]
-    for w in normals_2d[1:]:
-        if first[0] * w[1] - first[1] * w[0] != 0 or \
-                first[0] * w[0] + first[1] * w[1] <= 0:
-            distinct = True
-            break
-    if not distinct:
-        return first
-    for i in range(n):
-        u = normals_2d[i]
-        v = normals_2d[(i + 1) % n]
-        if u[0] * v[1] - u[1] * v[0] < 0:  # ccw gap from u to v beyond 180
-            return (u[1] - v[1], v[0] - u[0])
-    return None
+    h = normals[j]
+    d = len(h)
+    p = next(i for i, e in enumerate(h) if e)
+    free = [i for i in range(d) if i != p]
+    merged: dict[IntVec, int] = {}
+    slots = []
+    for n in normals[:j] + normals[j + 1:]:
+        r = tuple(h[p] * n[i] - h[i] * n[p] for i in free)
+        if not any(r):
+            return {}  # a repeated hyperplane: no wall point avoids it
+        slot = merged.setdefault(primitive_normal(r), len(merged))
+        slots.append((slot, 1 if next(e for e in r if e) > 0 else -1))
+    table = {}
+    for tau, y in _cells(list(merged), d - 1):
+        wall = [0] * d
+        for i, e in zip(free, y):
+            wall[i] = h[p] * e
+            wall[p] -= h[i] * e
+        table[tuple(s * tau[slot] for slot, s in slots)] = tuple(wall)
+    return table
 
 
-class _WallCrosser:
-    """LP-free realizability of sign flips for dimensions up to three.
+def _step_off(normals: Sequence[IntVec], tilt: Sequence[int], cand: SignVector,
+              j: int, wall: IntVec) -> IntVec:
+    """Push a wall point of hyperplane j into the cell `cand` on its far side:
+    wall + t * cand[j] * h with t half the smallest distance at which another
+    hyperplane would be reached (t = 1 if none is), scaled to a primitive
+    integer vector.  tilt[k] is n_k . h."""
+    h = normals[j]
+    flipped = cand[j]
+    value = drift = None
+    for n, s, nh in zip(normals, cand, tilt):
+        dr = -flipped * s * nh  # rate of approach to hyperplane k; < 0 at k = j
+        if dr > 0:
+            v = s * vec_dot(n, wall)
+            if value is None or v * drift < value * dr:
+                value, drift = v, dr
+    if value is None:
+        x = [w + flipped * e for w, e in zip(wall, h)]
+    else:
+        x = [2 * drift * w + flipped * value * e for w, e in zip(wall, h)]
+    g = gcd(*x)
+    return tuple(e // g for e in x)
 
-    A candidate obtained by flipping sign j of a realizable cell is itself
-    realizable iff the shared wall is: some point of hyperplane j satisfies
-    the other signed rows strictly.  That is a strict homogeneous system
-    inside a space of dimension d-1, decided exactly by ray checks (d = 2)
-    or by an angular gap scan over precomputed projections (d = 3); the
-    witness is then pushed off the wall by an explicit rational step.
-    """
 
-    def __init__(self, normals: Sequence[IntVec]):
-        self.normals = normals
-        self.d = len(normals[0])
-        self._bases: dict[int, tuple] = {}
-
-    def _basis(self, j: int):
-        cached = self._bases.get(j)
-        if cached is None:
-            h = self.normals[j]
-            if self.d == 2:
-                cached = ((-h[1], h[0]),)
-            else:
-                axis = min(range(3), key=lambda i: abs(h[i]))
-                e = tuple(1 if i == axis else 0 for i in range(3))
-                u = (h[1] * e[2] - h[2] * e[1],
-                     h[2] * e[0] - h[0] * e[2],
-                     h[0] * e[1] - h[1] * e[0])
-                v = (h[1] * u[2] - h[2] * u[1],
-                     h[2] * u[0] - h[0] * u[2],
-                     h[0] * u[1] - h[1] * u[0])
-                entries = []
-                proj = {}
-                for k, n in enumerate(self.normals):
-                    if k == j:
-                        continue
-                    p = (vec_dot(n, u), vec_dot(n, v))
-                    proj[k] = p
-                    entries.append((p, k, 1))
-                    entries.append(((-p[0], -p[1]), k, -1))
-                cached = (u, v, proj, _angle_key_order(entries))
-            self._bases[j] = cached
-        return cached
-
-    def cross(self, sigma: SignVector, j: int) -> Optional[Point]:
-        """Witness for sigma with sign j flipped, or None if unrealizable."""
-        flipped = -sigma[j]
-        if self.d == 1:
-            x = tuple(flipped * e for e in self.normals[j])
-            return tuple(Fraction(e) for e in x)
-        if self.d == 2:
-            (ray,) = self._basis(j)
-            for p in (ray, (-ray[0], -ray[1])):
-                if all(s * vec_dot(n, p) > 0
-                       for k, (n, s) in enumerate(zip(self.normals, sigma))
-                       if k != j):
-                    return self._step_off(p, sigma, j, flipped)
-            return None
-        u, v, proj, ordered = self._basis(j)
-        selected = [entry[0] for entry in ordered if sigma[entry[1]] == entry[2]]
-        y = _max_gap_witness(selected)
-        if y is None:
-            return None
-        p = tuple(y[0] * u[i] + y[1] * v[i] for i in range(3))
-        return self._step_off(p, sigma, j, flipped)
-
-    def _step_off(self, p: IntVec, sigma: SignVector, j: int,
-                  flipped: int) -> Point:
-        h = self.normals[j]
-        t = None
-        for k, (n, s) in enumerate(zip(self.normals, sigma)):
-            if k == j:
+def _cells(normals: Sequence[IntVec], d: int) -> Iterator[tuple[SignVector, IntVec]]:
+    """`enumerate_cells` over distinct primitive integer normals in dimension
+    d, with integer witnesses.  Sign j of a cell flips to a cell exactly when
+    the other signs form a wall on hyperplane j; the walls of each hyperplane
+    are enumerated on its first flip, by the same recursion one dimension
+    lower, and kept for this call only."""
+    if not normals:
+        yield (), tuple(1 if i == 0 else 0 for i in range(d))
+        return
+    start, start_sigma = _generic_direction(normals, d, random.Random(_GENERIC_SEED))
+    walls: dict[int, tuple[dict[SignVector, IntVec], list[int]]] = {}
+    yield start_sigma, start
+    queue = deque([start_sigma])
+    seen = {start_sigma}
+    while queue:
+        sigma = queue.popleft()
+        for j, s in enumerate(sigma):
+            if j not in walls:
+                walls[j] = (_walls(normals, j), [vec_dot(n, normals[j]) for n in normals])
+            table, tilt = walls[j]
+            wall = table.get(sigma[:j] + sigma[j + 1:])
+            if wall is None:
                 continue
-            value = s * vec_dot(n, p)
-            if value <= 0:
-                raise AssertionError("wall point violates a retained sign")
-            drift = flipped * s * vec_dot(n, h)
-            if drift < 0:
-                bound = Fraction(value, -drift)
-                if t is None or bound < t:
-                    t = bound
-        t = Fraction(1) if t is None else t / 2
-        return tuple(Fraction(p[i]) + flipped * t * h[i] for i in range(self.d))
+            cand = sigma[:j] + (-s,) + sigma[j + 1:]
+            if cand not in seen:
+                seen.add(cand)
+                queue.append(cand)
+                yield cand, _step_off(normals, tilt, cand, j, wall)
 
 
 def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
@@ -276,30 +234,11 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
     if not hyperplanes:
         raise InputError("need at least one hyperplane")
     normals = [h.int_normal() for h in hyperplanes]
-    d = len(normals[0])
-    rng = random.Random(_GENERIC_SEED)
-    start, start_sigma = _generic_direction(normals, d, rng)
-    crosser = _WallCrosser(normals) if d <= 3 else None
-    queue: deque[tuple[SignVector, Point]] = deque()
-    queue.append((start_sigma, tuple(Fraction(e) for e in start)))
-    seen = {start_sigma}
-    while queue:
-        sigma, witness = queue.popleft()
-        yield sigma, witness
-        for j in range(len(normals)):
-            cand = sigma[:j] + (-sigma[j],) + sigma[j + 1:]
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if crosser is not None:
-                sol = crosser.cross(sigma, j)
-            else:
-                sol = _cell_witness(normals, cand)
-            if sol is not None:
-                for n, s in zip(normals, cand):
-                    if s * vec_dot(n, sol) <= 0:
-                        raise AssertionError("wall crossing produced a bad witness")
-                queue.append((cand, sol))
+    for sigma, witness in _cells(normals, len(normals[0])):
+        for n, s in zip(normals, sigma):
+            if s * vec_dot(n, witness) <= 0:
+                raise AssertionError("wall crossing produced a bad witness")
+        yield sigma, tuple(Fraction(e) for e in witness)
 
 
 def _independent_cone_rows(cones: Sequence[ConeSpec]

@@ -33,6 +33,8 @@ from .exactgeom import (
 
 Transversal = tuple[int, ...]
 
+_MAX_DEFAULT_DIMENSION = 5
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -171,7 +173,19 @@ def transversal_points(config: Configuration, choice: Transversal) -> tuple[Poin
     return tuple(config.point(c, j) for c, j in enumerate(choice))
 
 
-def validate(config: Configuration) -> ValidationReport:
+def check_validation_budget(d: int, allow_high_dimension: bool = False) -> None:
+    """Refuse, before any work, a validation whose minor table would not fit:
+    it holds C((d+1)^2, d) minors, about 14 million at d = 6."""
+    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
+        raise InputError(
+            f"validation in dimension {d} needs allow_high_dimension=True "
+            f"(the minor table holds C({(d + 1) ** 2},{d}) = {comb((d + 1) ** 2, d):,} "
+            "minors: expect most of a gigabyte of memory and hours of work beyond "
+            "dimension 5)")
+
+
+def validate(config: Configuration, *,
+             allow_high_dimension: bool = False) -> ValidationReport:
     """Check the standing assumptions: origin in the core, strictly so, and
     general position.
 
@@ -192,11 +206,14 @@ def validate(config: Configuration) -> ValidationReport:
     expansion along the column of ones into d+1 of them, weighted by the
     points' scale factors.  The report is cached on the configuration
     object, so every later call returns the same report without
-    recomputing it.
+    recomputing it.  Beyond dimension 5 the call is refused with
+    `InputError` unless `allow_high_dimension` is set (or the report is
+    already cached).
     """
     cached = config.__dict__.get("_validation")
     if cached is not None:
         return cached
+    check_validation_budget(config.dimension, allow_high_dimension)
     from .depth import origin_in_convex_hull  # local import: depth builds on this module
 
     d = config.dimension

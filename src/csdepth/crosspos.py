@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arrangement import CoverageCertificate, covers_space, facet_hyperplanes
+from .arrangement import CoverageCertificate, covers_space, enumerate_cells, facet_hyperplanes
 from .configuration import Configuration, validate
 from .depth import ConeSpec, _ConeFamily
 from .errors import InputError
@@ -113,7 +113,6 @@ def _candidate_directions(config: Configuration, subset: tuple[int, ...],
         if fresh(x):
             yield x
     if exhaustive:
-        from .arrangement import enumerate_cells
         cones = [ConeSpec(tuple(config.colours[c][choice[i]]
                                 for i, c in enumerate(subset)))
                  for choice in itertools.product(range(d + 1), repeat=d)]

@@ -22,7 +22,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configuration import Configuration, configuration_to_json_dict, validate
+from .configuration import (
+    Configuration,
+    check_validation_budget,
+    configuration_to_json_dict,
+    validate,
+)
 from .depth import _ConeFamily, colourful_depth, origin_in_convex_hull
 from .errors import InputError, ViolationError
 from .exactgeom import scale_to_integers
@@ -64,9 +69,11 @@ def _anchored_class(points: list[tuple[Fraction, ...]], d: int
 
 def random_configuration(d: int, seed: int) -> Configuration:
     """A seeded valid configuration: origin strictly interior to every colour
-    hull and all points in general position.  Deterministic per seed."""
+    hull and all points in general position.  Deterministic per seed.
+    Dimensions beyond 5 are refused before sampling, as by `validate`."""
     if d < 1:
         raise InputError(f"dimension must be positive, got {d}")
+    check_validation_budget(d)
     rng = random.Random(seed)
     for _ in range(_GENERATION_RETRIES):
         colours = tuple(

@@ -1,6 +1,8 @@
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,7 +16,7 @@ from csdepth import (
     facet_hyperplanes,
     monte_carlo_refuter,
 )
-from csdepth.exactgeom import vec_dot
+from csdepth.exactgeom import Relation, int_det, max_slack_point, primitive_normal, vec_dot
 
 from helpers import fp, oracle_covers_2d, random_rational_point
 
@@ -43,6 +45,83 @@ def random_pair_cones(rng, d):
                 break
     return [ConeSpec(tuple(pairs[i][bits[i]] for i in range(d)))
             for bits in itertools.product((0, 1), repeat=d)], pairs
+
+
+def hyperplanes_of(normals):
+    return tuple(CentralHyperplane(tuple(Fraction(e) for e in n)) for n in normals)
+
+
+def random_normals(rng, d, m):
+    """m distinct primitive normals; about a third are combinations of two
+    earlier ones, so restricting to one of those two merges the others."""
+    normals = []
+    while len(normals) < m:
+        if len(normals) >= 2 and rng.random() < 0.35:
+            a, b = rng.sample(normals, 2)
+            ca, cb = rng.choice((1, -1, 2)), rng.choice((1, -1, 3))
+            v = tuple(ca * x + cb * y for x, y in zip(a, b))
+        else:
+            v = tuple(rng.randint(-4, 4) for _ in range(d))
+        if any(v) and primitive_normal(v) not in normals:
+            normals.append(primitive_normal(v))
+    return normals
+
+
+def lp_reference_cells(normals, start):
+    """Breadth-first wall crossing from `start` that decides every flip by
+    one exact strict-feasibility LP, the way cells were enumerated before
+    wall tables."""
+    order, seen, queue = [], {start}, deque([start])
+    while queue:
+        sigma = queue.popleft()
+        order.append(sigma)
+        for j in range(len(sigma)):
+            cand = sigma[:j] + (-sigma[j],) + sigma[j + 1:]
+            if cand in seen:
+                continue
+            seen.add(cand)
+            rows = [(n if s > 0 else tuple(-e for e in n), Relation.GT)
+                    for n, s in zip(normals, cand)]
+            if max_slack_point(rows, len(normals[0])) is not None:
+                queue.append(cand)
+    return order
+
+
+def solve_columns(columns, y):
+    """(det, coefficients) of y in the basis `columns`, by Fraction
+    Gauss-Jordan elimination; coefficients are None when det is 0."""
+    d = len(y)
+    m = [[Fraction(columns[i][r]) for i in range(d)] + [Fraction(y[r])] for r in range(d)]
+    det = Fraction(1)
+    for k in range(d):
+        piv = next((r for r in range(k, d) if m[r][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        m[k] = [e / m[k][k] for e in m[k]]
+        for r in range(d):
+            if r != k and m[r][k] != 0:
+                m[r] = [a - m[r][k] * b for a, b in zip(m[r], m[k])]
+    return det, [m[r][d] for r in range(d)]
+
+
+def pair_degree(pairs, y):
+    """Degree of the radial map from the octahedral sphere of the pairs at
+    the direction y: the sum, over the 2^d cones containing y, of the sign of
+    the cone's determinant times (-1)^(number of second points).  None when y
+    lies on a cone's boundary."""
+    d = len(pairs)
+    degree = 0
+    for bits in itertools.product((0, 1), repeat=d):
+        det, coeffs = solve_columns([pairs[i][bits[i]] for i in range(d)], y)
+        if any(c == 0 for c in coeffs):
+            return None
+        if all(c > 0 for c in coeffs):
+            degree += (1 if det > 0 else -1) * (-1) ** sum(bits)
+    return degree
 
 
 class TestCentralHyperplane:
@@ -132,6 +211,48 @@ class TestEnumerateCells:
                         for n in sorted(normals))
             cells = list(enumerate_cells(hps))
             assert len(cells) == 2 * len(normals)
+
+    @pytest.mark.parametrize("d,m", [(3, 5), (3, 9), (4, 6), (4, 9)])
+    def test_cell_count_law_generic(self, d, m):
+        # Cover (1965): m hyperplanes through the origin in general position
+        # cut R^d into 2 * sum_{k<d} C(m-1, k) cells.
+        rng = random.Random(100 * d + m)
+        while True:
+            normals = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(m)]
+            if all(int_det([normals[i] for i in s])
+                   for s in itertools.combinations(range(m), d)):
+                break
+        cells = list(enumerate_cells(hyperplanes_of(normals)))
+        assert len(cells) == 2 * sum(comb(m - 1, k) for k in range(d))
+
+    def assert_matches_lp_reference(self, normals):
+        cells = list(enumerate_cells(hyperplanes_of(normals)))
+        for sigma, witness in cells:
+            for n, s in zip(normals, sigma):
+                assert s * vec_dot(n, witness) > 0
+        sigmas = [sigma for sigma, _ in cells]
+        assert sigmas == lp_reference_cells(normals, sigmas[0])
+        return cells
+
+    @pytest.mark.parametrize("d,trials,max_m", [(1, 2, 1), (2, 15, 7), (3, 10, 7),
+                                                (4, 5, 6)])
+    def test_matches_lp_reference(self, d, trials, max_m):
+        rng = random.Random(40 + d)
+        for _ in range(trials):
+            self.assert_matches_lp_reference(random_normals(rng, d, rng.randint(1, max_m)))
+
+    def test_merged_restrictions_match_lp_reference(self):
+        # (1,1,0) = (1,0,0) + (0,1,0): on each of the three, the other two
+        # restrict to one hyperplane
+        for normals in ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)],
+                        [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0),
+                         (1, 0, 1, 2), (0, 0, 0, 1)]):
+            self.assert_matches_lp_reference(normals)
+
+    @pytest.mark.parametrize("normal", [(1,), (2, -3), (1, 2, 3), (0, 1, -1, 4)])
+    def test_single_hyperplane_two_cells(self, normal):
+        cells = self.assert_matches_lp_reference([primitive_normal(normal)])
+        assert [sigma for sigma, _ in cells] in ([(1,), (-1,)], [(-1,), (1,)])
 
     def test_empty_input_rejected(self):
         with pytest.raises(InputError):
@@ -233,6 +354,29 @@ class TestCoversSpace:
         assert doc["cells_checked"] == 4
         assert len(doc["per_cell_cone"]) == 4
         assert all(set(k) <= {"+", "-"} for k in doc["per_cell_cone"])
+
+
+class TestDegreeOracle:
+    @pytest.mark.parametrize("d,wanted", [(2, 20), (3, 10), (4, 1)])
+    def test_nonzero_degree_implies_covered(self, d, wanted):
+        # A nonzero degree of the radial map at some direction forces the
+        # cones to cover space; the oracle shares no code with the engine.
+        rng = random.Random(60 + d)
+        nonzero = 0
+        for _ in range(500):
+            cones, pairs = random_pair_cones(rng, d)
+            if any(solve_columns(c.generators, (1,) * d)[0] == 0 for c in cones):
+                continue
+            degree = None
+            while degree is None:
+                y = tuple(rng.randint(-50, 50) for _ in range(d))
+                degree = pair_degree(pairs, y) if any(y) else None
+            if degree != 0:
+                assert covers_space(cones).covered
+                nonzero += 1
+                if nonzero == wanted:
+                    break
+        assert nonzero == wanted
 
 
 class TestMonteCarloRefuter:

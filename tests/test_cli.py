@@ -39,6 +39,17 @@ class TestGen:
         assert doc["manifest"]["output_digest"] == \
             "sha256:" + hashlib.sha256(payload).hexdigest()
 
+    def test_dimension_6_exits_2_before_sampling(self, capsys, monkeypatch):
+        import csdepth.search
+        calls = []
+        monkeypatch.setattr(csdepth.search, "_sample_point", lambda *a: calls.append(a))
+        monkeypatch.setattr(csdepth.search, "validate", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "gen", "-d", "6")
+        assert code == 2
+        assert out == ""
+        assert "validation in dimension 6 needs allow_high_dimension=True" in err
+        assert calls == []
+
 
 class TestDepth:
     def test_pipeline_from_gen(self, tmp_path, capsys):

@@ -135,6 +135,13 @@ def _dummy_config(d):
 
 
 class TestValidate:
+    def test_dimension_6_refused_before_any_work(self, monkeypatch):
+        import csdepth.depth
+        monkeypatch.setattr(csdepth.depth, "origin_in_convex_hull",
+                            lambda *a: pytest.fail("validate started working"))
+        with pytest.raises(InputError, match="dimension 6 needs allow_high_dimension=True"):
+            validate(_dummy_config(6))
+
     def test_symmetric_example_flags(self):
         report = validate(symmetric_example())
         assert report.zero_in_core is True
