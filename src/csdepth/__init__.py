@@ -24,7 +24,6 @@ from .configuration import (
     enumerate_transversals,
     parse_configuration,
     parse_pairs,
-    serialize_configuration,
     transversal_points,
     validate,
 )
@@ -45,16 +44,7 @@ from .depth import (
     simplex_contains_origin,
 )
 from .errors import CsdepthError, InputError, ParseError, ViolationError
-from .exactgeom import (
-    LinearSystem,
-    Point,
-    Relation,
-    det_sign,
-    feasible_point,
-    format_rational,
-    parse_rational,
-    solve_square,
-)
+from .exactgeom import Point, format_rational, parse_rational
 from .search import SearchReport, minimize_depth, random_configuration
 from .witness import WitnessSet, generate_witnesses, theorem_bound, verify_witness_set
 
@@ -70,10 +60,8 @@ __all__ = [
     "CsdepthError",
     "DepthReport",
     "InputError",
-    "LinearSystem",
     "ParseError",
     "Point",
-    "Relation",
     "SearchReport",
     "SignVector",
     "Transversal",
@@ -86,11 +74,9 @@ __all__ = [
     "configuration_to_json_dict",
     "covers_space",
     "d_depth",
-    "det_sign",
     "enumerate_cells",
     "enumerate_transversals",
     "facet_hyperplanes",
-    "feasible_point",
     "find_cross_position",
     "format_rational",
     "generate_witnesses",
@@ -102,9 +88,7 @@ __all__ = [
     "parse_pairs",
     "parse_rational",
     "random_configuration",
-    "serialize_configuration",
     "simplex_contains_origin",
-    "solve_square",
     "theorem_bound",
     "transversal_points",
     "validate",

@@ -154,10 +154,6 @@ def configuration_to_json_dict(config: Configuration) -> dict:
     }
 
 
-def serialize_configuration(config: Configuration) -> str:
-    return json.dumps(configuration_to_json_dict(config), separators=(",", ":"))
-
-
 def enumerate_transversals(config: Configuration) -> Iterator[Transversal]:
     """All (d+1)^(d+1) one-point-per-colour selections, lexicographically."""
     n = config.dimension + 1

@@ -30,7 +30,7 @@ from .depth import ConeSpec, _ConeFamily
 from .errors import InputError
 from .exactgeom import IntVec, Point, is_zero_vec, primitive_normal, scale_to_integers
 
-_DEFAULT_RANDOM_CANDIDATES = 64
+_RANDOM_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,13 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
                 raise InputError(f"pair {c}: expected {d} coordinates, got {len(p)}")
             if is_zero_vec(p):
                 raise InputError(f"pair {c}: points must be nonzero")
-    cones = [ConeSpec(tuple(pairs[i][bits[i]] for i in range(d)),
-                      colours=tuple(range(d)))
+    cones = [ConeSpec(tuple(pairs[i][bits[i]] for i in range(d)))
              for bits in itertools.product((0, 1), repeat=d)]
     return covers_space(cones)
 
 
 def _candidate_directions(config: Configuration, subset: tuple[int, ...],
-                          seed: int, random_candidates: int,
-                          exhaustive: bool):
+                          seed: int, exhaustive: bool):
     """Nonzero integer candidate directions in deterministic priority order:
     antipodes of all configuration points, then cell witnesses of the full
     cone family's facet arrangement (exhaustive mode), then random draws."""
@@ -122,7 +120,7 @@ def _candidate_directions(config: Configuration, subset: tuple[int, ...],
             if fresh(x):
                 yield x
     rng = random.Random(seed)
-    for _ in range(random_candidates):
+    for _ in range(_RANDOM_CANDIDATES):
         x = tuple(rng.getrandbits(20) - (1 << 19) for _ in range(d))
         if fresh(x):
             yield x
@@ -130,7 +128,6 @@ def _candidate_directions(config: Configuration, subset: tuple[int, ...],
 
 def find_cross_position(config: Configuration, colours: Sequence[int], *,
                         seed: int = 0,
-                        random_candidates: int = _DEFAULT_RANDOM_CANDIDATES,
                         exhaustive: Optional[bool] = None
                         ) -> Union[CrossPosition, CrossSearchFailure]:
     """Search the configuration for a deformed cross position on the given
@@ -158,7 +155,7 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     family = _ConeFamily([config.colours[c] for c in subset])
     best = len(family.choices) + 1
     tried = 0
-    for x in _candidate_directions(config, subset, seed, random_candidates, exhaustive):
+    for x in _candidate_directions(config, subset, seed, exhaustive):
         tried += 1
         hits = family.containing(x)
         best = min(best, len(hits))

@@ -3,8 +3,9 @@
 Containment is decided with closed semantics throughout: the origin on the
 boundary of a simplex or cone counts as contained, and degenerate vertex or
 generator tuples are decided on the (lower-dimensional) closed hull by exact
-feasibility rather than rejected.  Nondegenerate instances take a fast path
-through integer Cramer determinants; both paths are exact.
+feasibility rather than rejected.  Nondegenerate instances are decided by
+signs of integer cofactors (simplex weights, cone facet rows), degenerate
+ones by one exact LP; both paths are exact.
 
 Points may be scaled to integer vectors freely: multiplying any single
 vertex or generator by a positive rational never changes a containment
@@ -28,6 +29,7 @@ from .exactgeom import (
     int_det,
     is_zero_vec,
     max_slack_point,
+    normal_to_span,
     scale_to_integers,
     vec_dot,
     vec_neg,
@@ -36,14 +38,9 @@ from .exactgeom import (
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Simplicial cone pointed at the origin: nonnegative span of d generators.
-
-    Colour labels are carried along when the generators come from a
-    configuration; they do not affect membership.
-    """
+    """Simplicial cone pointed at the origin: nonnegative span of d generators."""
 
     generators: tuple[Point, ...]
-    colours: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         d = len(self.generators)
@@ -54,8 +51,6 @@ class ConeSpec:
                 raise InputError(f"expected {d} coordinates per generator, got {len(g)}")
             if is_zero_vec(g):
                 raise InputError("cone generators must be nonzero")
-        if self.colours is not None and len(self.colours) != d:
-            raise InputError("need one colour label per generator")
 
     @property
     def dimension(self) -> int:
@@ -79,52 +74,36 @@ class DepthReport:
         }
 
 
-def _signed_minors(ints: Sequence[IntVec]) -> list[int]:
-    """Cofactors along the column of ones of det[v_i, 1] for d+1 integer
-    vectors: entry i is (-1)^(d+1+i) times the determinant of the vectors
-    other than v_i, so the entries sum to det[v_i, 1]."""
+def _origin_weights(ints: Sequence[IntVec], strict: IntVec) -> Optional[Point]:
+    """Exact weights w >= 0 with sum w_i v_i = 0 and strict . w > 0, or None."""
     n = len(ints)
-    cs = []
-    for i in range(n):
-        minor = int_det(ints[:i] + ints[i + 1:])
-        cs.append(minor if (n + i) % 2 == 0 else -minor)
-    return cs
+    rows = [(tuple(1 if k == i else 0 for k in range(n)), Relation.GE) for i in range(n)]
+    rows += [(tuple(v[k] for v in ints), Relation.EQ) for k in range(len(ints[0]))]
+    rows.append((strict, Relation.GT))
+    return max_slack_point(rows, n)
 
 
-def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[int],
-                            want_coeffs: bool) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
+def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[int]
+                            ) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Closed containment of the origin in the hull of d+1 pre-scaled vertices,
-    given their signed minors `cs` (see `_signed_minors`).
+    given their weights `cs`: the cofactors of det[v_i, 1] along its column
+    of ones, up to one common sign, so that sum_i cs_i v_i = 0.
 
-    Cramer path when the vertices are affinely independent, exact
+    Cofactor signs decide when the vertices are affinely independent, exact
     feasibility otherwise.  Returned coefficients are barycentric for the
     original (unscaled) vertices.
     """
     n = len(scaled)
-    d = n - 1
-    total = sum(cs)
-    if total != 0:
-        contained = all(c >= 0 for c in cs) or all(c <= 0 for c in cs)
-        if not contained:
+    if sum(cs) != 0:
+        if not (all(c >= 0 for c in cs) or all(c <= 0 for c in cs)):
             return False, None
-        if not want_coeffs:
-            return True, None
         weights = [cs[i] * scaled[i][1] for i in range(n)]
         s = sum(weights)
         return True, tuple(Fraction(w, s) for w in weights)
     # degenerate tuple: decide on the closed lower-dimensional hull
-    rows_sys: list[tuple[IntVec, Relation]] = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        rows_sys.append((e, Relation.GE))
-    for k in range(d):
-        rows_sys.append((tuple(scaled[i][0][k] for i in range(n)), Relation.EQ))
-    rows_sys.append((tuple(1 for _ in range(n)), Relation.GT))
-    sol = max_slack_point(rows_sys, n)
+    sol = _origin_weights([v for v, _ in scaled], (1,) * n)
     if sol is None:
         return False, None
-    if not want_coeffs:
-        return True, None
     weights = [sol[i] * scaled[i][1] for i in range(n)]
     s = sum(weights)
     return True, tuple(w / s for w in weights)
@@ -148,7 +127,8 @@ def simplex_contains_origin(vertices: Sequence[Point]
         if len(v) != d:
             raise InputError(f"expected {d} coordinates per vertex, got {len(v)}")
     scaled = [scale_to_integers(v) for v in vertices]
-    return _contains_origin_scaled(scaled, _signed_minors([v for v, _ in scaled]), True)
+    columns = [tuple(v[k] for v, _ in scaled) for k in range(d)]
+    return _contains_origin_scaled(scaled, normal_to_span(columns, d + 1) or (0,) * (d + 1))
 
 
 def origin_in_convex_hull(points: Sequence[Point]) -> bool:
@@ -156,37 +136,21 @@ def origin_in_convex_hull(points: Sequence[Point]) -> bool:
     points = tuple(points)
     if not points:
         raise InputError("need at least one point")
-    n = len(points)
     scaled = [scale_to_integers(p)[0] for p in points]
-    rows: list[tuple[IntVec, Relation]] = []
-    for i in range(n):
-        rows.append((tuple(1 if k == i else 0 for k in range(n)), Relation.GE))
-    for k in range(len(points[0])):
-        rows.append((tuple(v[k] for v in scaled), Relation.EQ))
-    rows.append((tuple(1 for _ in range(n)), Relation.GT))
-    return max_slack_point(rows, n) is not None
+    return _origin_weights(scaled, (1,) * len(points)) is not None
 
 
-def _cone_contains_ints(gens: Sequence[IntVec], x: IntVec) -> bool:
-    d = len(gens)
-    rows = [[gens[i][k] for i in range(d)] for k in range(d)]
-    det = int_det(rows)
-    if det != 0:
-        for i in range(d):
-            cols = list(gens)
-            cols[i] = x
-            num = int_det([[cols[a][k] for a in range(d)] for k in range(d)])
-            if num != 0 and (num > 0) != (det > 0):
+def _cone_contains_ints(gens: Sequence[IntVec], rows: Optional[tuple[IntVec, ...]],
+                        x: IntVec) -> bool:
+    """x in the cone of integer generators whose `cone_facet_rows` are `rows`."""
+    if rows is not None:
+        for r in rows:
+            if vec_dot(r, x) < 0:
                 return False
         return True
     # dependent generators: x in cone iff some lam >= 0, t > 0 solve G.lam = t.x
-    rows_sys: list[tuple[IntVec, Relation]] = []
-    for i in range(d):
-        rows_sys.append((tuple(1 if k == i else 0 for k in range(d + 1)), Relation.GE))
-    rows_sys.append((tuple(1 if k == d else 0 for k in range(d + 1)), Relation.GT))
-    for k in range(d):
-        rows_sys.append((tuple(g[k] for g in gens) + (-x[k],), Relation.EQ))
-    return max_slack_point(rows_sys, d + 1) is not None
+    d = len(gens)
+    return _origin_weights([*gens, vec_neg(x)], (0,) * d + (1,)) is not None
 
 
 def cone_contains(cone: ConeSpec, x: Point) -> bool:
@@ -195,7 +159,7 @@ def cone_contains(cone: ConeSpec, x: Point) -> bool:
     if len(x) != d:
         raise InputError(f"expected {d} coordinates, got {len(x)}")
     gens = [scale_to_integers(g)[0] for g in cone.generators]
-    return _cone_contains_ints(gens, scale_to_integers(x)[0])
+    return _cone_contains_ints(gens, cone_facet_rows(gens), scale_to_integers(x)[0])
 
 
 def colourful_depth(config: Configuration) -> DepthReport:
@@ -226,7 +190,7 @@ def colourful_depth(config: Configuration) -> DepthReport:
     for t, choice in enumerate(enumerate_transversals(config)):
         verts = [scaled[c][j] for c, j in enumerate(choice)]
         cs = [minors[i][t // high[i] * low[i] + t % low[i]] for i in range(n)]
-        ok, coeffs = _contains_origin_scaled(verts, cs, True)
+        ok, coeffs = _contains_origin_scaled(verts, cs)
         if ok:
             witnesses.append((choice, coeffs))
     return DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))
@@ -258,26 +222,11 @@ class _ConeFamily:
 
     def containing(self, x: IntVec) -> list[tuple[int, ...]]:
         """Choices whose cones contain x, in lexicographic order."""
-        hits = []
-        for choice, (rows, gens) in zip(self.choices, self._rows):
-            if rows is not None:
-                if all(vec_dot(r, x) >= 0 for r in rows):
-                    hits.append(choice)
-            elif _cone_contains_ints(gens, x):
-                hits.append(choice)
-        return hits
+        return [choice for choice, (rows, gens) in zip(self.choices, self._rows)
+                if _cone_contains_ints(gens, rows, x)]
 
-    def count_containing(self, x: IntVec, stop_above: Optional[int] = None) -> int:
-        count = 0
-        for choice, (rows, gens) in zip(self.choices, self._rows):
-            if rows is not None:
-                if all(vec_dot(r, x) >= 0 for r in rows):
-                    count += 1
-            elif _cone_contains_ints(gens, x):
-                count += 1
-            if stop_above is not None and count > stop_above:
-                return count
-        return count
+    def count_containing(self, x: IntVec) -> int:
+        return len(self.containing(x))
 
 
 def d_depth(config: Configuration, colours: Sequence[int], x: Point) -> int:

@@ -1,10 +1,11 @@
 """Exact rational linear algebra and strict linear feasibility.
 
 Every geometric predicate in this package reduces to the operations here:
-determinant signs, small dense solves, and exact feasibility of homogeneous
-sign systems.  All arithmetic is over arbitrary-precision rationals
-(``fractions.Fraction``) or plain Python integers; no floating point is used
-anywhere.
+integer determinants, the cofactor normal of d-1 vectors in dimension d
+(`normal_to_span`, from which cone facet rows and simplex weights are
+built), and exact feasibility of homogeneous sign systems.  All arithmetic
+is over arbitrary-precision rationals (``fractions.Fraction``) or plain
+Python integers; no floating point is used anywhere.
 
 Scalars serialize as base-10 strings ``"p/q"`` (or ``"p"`` when q = 1) in
 canonical form: gcd(|p|, q) = 1 with q > 0.  ``Fraction`` maintains exactly
@@ -14,14 +15,12 @@ input validation.
 The feasibility solver decides systems of homogeneous rows ``a . x REL 0``
 with REL one of >=, >, =.  Strict rows are handled by maximizing a single
 bounded slack with an exact simplex method (integer pivoting, Bland's rule):
-the system is strictly feasible iff the optimal slack is positive, and any
-returned point satisfies strict rows strictly under re-evaluation.
+the system is strictly feasible iff the optimal slack is positive.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -113,56 +112,6 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _columns_to_rows(columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    d = len(columns)
-    return [[columns[i][k] for i in range(d)] for k in range(len(columns[0]))]
-
-
-def _check_square(columns: Sequence[Point]) -> int:
-    d = len(columns)
-    if d == 0:
-        raise InputError("need at least one column")
-    for c in columns:
-        if len(c) != d:
-            raise InputError(f"expected {d} coordinates per column, got {len(c)}")
-    return d
-
-
-def det_sign(columns: Sequence[Point]) -> int:
-    """Sign of det[columns], computed exactly.
-
-    Each column may be scaled to integers independently: positive scaling
-    never changes the sign.
-    """
-    _check_square(columns)
-    int_cols = [scale_to_integers(c)[0] for c in columns]
-    value = int_det(_columns_to_rows(int_cols))
-    return (value > 0) - (value < 0)
-
-
-def solve_square(columns: Sequence[Point], rhs: Point) -> Optional[tuple[Fraction, ...]]:
-    """Exact coefficients c with sum(c_i * column_i) = rhs, or None if singular.
-
-    Cramer's rule over fraction-free integer determinants: columns and rhs
-    are cleared to integers, solved, then unscaled.
-    """
-    d = _check_square(columns)
-    if len(rhs) != d:
-        raise InputError(f"rhs has {len(rhs)} coordinates, expected {d}")
-    scaled = [scale_to_integers(c) for c in columns]
-    int_cols = [s[0] for s in scaled]
-    rhs_int, rhs_mul = scale_to_integers(rhs)
-    base = int_det(_columns_to_rows(int_cols))
-    if base == 0:
-        return None
-    coeffs = []
-    for i in range(d):
-        replaced = int_cols[:i] + [rhs_int] + int_cols[i + 1:]
-        det_i = int_det(_columns_to_rows(replaced))
-        coeffs.append(Fraction(det_i * scaled[i][1], base * rhs_mul))
-    return tuple(coeffs)
-
-
 def normal_to_span(vectors: Sequence[IntVec], dimension: int) -> Optional[IntVec]:
     """Integer vector orthogonal to d-1 given vectors (generalized cross product).
 
@@ -231,25 +180,19 @@ def cone_facet_rows(int_columns: Sequence[IntVec]) -> Optional[tuple[IntVec, ...
     """Facet-normal rows of a simplicial cone with the given integer generators.
 
     A point x lies in the cone iff row . x >= 0 for every returned row.
-    Returns None when the generators are linearly dependent.
+    Row i is the normal to the other generators, signed to face g_i; row i
+    dotted with x is +-det of the generators with g_i replaced by x (the
+    adjugate row), and dotted with g_i it is |det|.  Returns None when the
+    generators are linearly dependent.
     """
     d = len(int_columns)
-    rows_m = _columns_to_rows(int_columns)
-    det = int_det(rows_m)
-    if det == 0:
-        return None
-    sign = 1 if det > 0 else -1
     out = []
-    for i in range(d):
-        row = []
-        for k in range(d):
-            minor = [[rows_m[r][c] for c in range(d) if c != i]
-                     for r in range(d) if r != k]
-            entry = int_det(minor)
-            if (i + k) % 2:
-                entry = -entry
-            row.append(sign * entry)
-        out.append(tuple(row))
+    for i, g in enumerate(int_columns):
+        normal = normal_to_span([*int_columns[:i], *int_columns[i + 1:]], d)
+        side = vec_dot(normal, g) if normal is not None else 0
+        if side == 0:
+            return None
+        out.append(normal if side > 0 else vec_neg(normal))
     return tuple(out)
 
 
@@ -259,56 +202,10 @@ class Relation(Enum):
     EQ = "=0"
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Homogeneous sign constraints: for each row (a, rel), a . x REL 0."""
-
-    rows: tuple[tuple[Point, Relation], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise InputError("a linear system needs at least one row")
-        dim = len(self.rows[0][0])
-        for normal, rel in self.rows:
-            if len(normal) != dim:
-                raise InputError("all normals must share one dimension")
-            if not isinstance(rel, Relation):
-                raise InputError(f"bad relation {rel!r}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows[0][0])
-
-
-def feasible_point(system: LinearSystem) -> Optional[Point]:
-    """An exact point satisfying every row (strict rows strictly), or None.
-
-    Homogeneous systems without strict rows always admit the origin.  With
-    strict rows, a single slack variable bounded by 1 is maximized by exact
-    simplex pivoting; the optimum is positive iff the system is strictly
-    feasible, and the witness is re-verified before being returned.
-    """
-    d = system.dimension
-    int_rows = [(scale_to_integers(normal)[0], rel) for normal, rel in system.rows]
-    if not any(rel is Relation.GT for _, rel in int_rows):
-        return tuple(Fraction(0) for _ in range(d))
-    sol = max_slack_point(int_rows, d)
-    if sol is None:
-        return None
-    for normal, rel in int_rows:
-        value = vec_dot(normal, sol)
-        if rel is Relation.GT and not value > 0:
-            raise AssertionError("simplex witness violates a strict row")
-        if rel is Relation.GE and not value >= 0:
-            raise AssertionError("simplex witness violates a weak row")
-        if rel is Relation.EQ and value != 0:
-            raise AssertionError("simplex witness violates an equality row")
-    return sol
-
-
 def max_slack_point(int_rows: Sequence[tuple[IntVec, Relation]],
                     dimension: int) -> Optional[Point]:
-    """Exact slack-maximization core of `feasible_point` over integer rows.
+    """An exact point x satisfying every integer row (a, rel), strict rows
+    strictly, or None.
 
     Variables are x = u - v with u, v >= 0 plus the slack t in [0, 1];
     maximize t subject to a.x >= 0 (weak), a.x >= t (strict), a.x = 0.

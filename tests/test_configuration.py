@@ -7,12 +7,12 @@ import pytest
 from csdepth import (
     Configuration,
     InputError,
+    configuration_to_json_dict,
     ParseError,
     enumerate_transversals,
     parse_configuration,
     parse_pairs,
     random_configuration,
-    serialize_configuration,
     transversal_points,
     validate,
 )
@@ -72,7 +72,8 @@ class TestParsing:
     def test_round_trip_identity(self):
         for seed in range(8):
             config = random_configuration(2, seed)
-            assert parse_configuration(serialize_configuration(config)) == config
+            text = json.dumps(configuration_to_json_dict(config))
+            assert parse_configuration(text) == config
 
     def test_pairs_file(self):
         doc = {"d": 2, "colours": [[["1", "0"], ["-1", "0"]],

@@ -20,6 +20,8 @@ from csdepth import (
     transversal_points,
 )
 
+from csdepth.exactgeom import cone_facet_rows, int_det
+
 from helpers import (
     fp,
     oracle_cone_contains_2d,
@@ -86,6 +88,25 @@ class TestOriginInHull:
         assert origin_in_convex_hull([fp(-1, -1), fp(2, 2)])
         assert not origin_in_convex_hull([fp(1, 1), fp(2, 2)])
 
+    def test_agrees_with_caratheodory_oracle_2d(self):
+        # in the plane the origin is in the hull of a point set iff it is in
+        # the closed hull of at most three of the points
+        from helpers import oracle_triangle_contains_origin
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            pts = [random_rational_point(rng, 2, span=4, den=2)
+                   for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                # all on one line through the origin
+                pts = [tuple(c * pts[0][k] for k in range(2))
+                       for c in (Fraction(rng.randint(-3, 3)) for _ in pts)]
+            want = any(oracle_triangle_contains_origin(*t)
+                       for t in itertools.combinations_with_replacement(pts, 3))
+            assert origin_in_convex_hull(pts) == want
+            outcomes[want] += 1
+        assert outcomes[True] > 50 and outcomes[False] > 50
+
 
 class TestConeContains:
     def test_positive_quadrant(self):
@@ -126,6 +147,108 @@ class TestConeContains:
                 continue
             assert cone_contains(ConeSpec((g1, g2)), x) == \
                 oracle_cone_contains_2d(g1, g2, x)
+
+
+def _row_reduce(rows, width):
+    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
+    m = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [e / m[r][c] for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _cone_coefficients(gens, x):
+    """The unique c with sum c_i g_i = x, or None when the gens are dependent."""
+    d = len(gens)
+    m, pivots = _row_reduce([[g[k] for g in gens] + [x[k]] for k in range(d)], d)
+    return [m[i][d] for i in range(d)] if len(pivots) == d else None
+
+
+def _span_normal(gens, d):
+    """A nonzero vector orthogonal to every generator (their span is proper)."""
+    m, pivots = _row_reduce(gens, d)
+    free = next(c for c in range(d) if c not in pivots)
+    n = [Fraction(0)] * d
+    n[free] = Fraction(1)
+    for row, c in zip(m, pivots):
+        n[c] = -row[free]
+    return n
+
+
+class TestConeContainsBeyondThePlane:
+    """Cone membership at d = 3 and 4 against test-local exact linear algebra."""
+
+    def test_independent_generators_match_gauss_jordan(self):
+        rng = random.Random(41)
+        outcomes = {True: 0, False: 0}
+        for d in (3, 4):
+            for _ in range(300):
+                gens = [random_rational_point(rng, d, span=5, den=3) for _ in range(d)]
+                if any(all(c == 0 for c in g) for g in gens):
+                    continue
+                if rng.random() < 0.5:
+                    # on or near the boundary: some coefficients 0 or negative
+                    lam = [Fraction(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(d)]
+                    x = tuple(sum(lam[i] * gens[i][k] for i in range(d)) for k in range(d))
+                else:
+                    x = random_rational_point(rng, d, span=5, den=3)
+                coeffs = _cone_coefficients(gens, x)
+                if coeffs is None:
+                    continue
+                want = all(c >= 0 for c in coeffs)
+                assert cone_contains(ConeSpec(tuple(gens)), x) == want
+                outcomes[want] += 1
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    def test_dependent_generators(self):
+        rng = random.Random(43)
+        for d in (3, 4):
+            for _ in range(60):
+                gens = [random_rational_point(rng, d, span=5, den=3) for _ in range(d - 1)]
+                if any(all(c == 0 for c in g) for g in gens):
+                    continue
+                source = rng.randrange(d - 1)
+                scale = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                gens.insert(rng.randrange(d), tuple(scale * c for c in gens[source]))
+                cone = ConeSpec(tuple(gens))
+                lam = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(d)]
+                inside = tuple(sum(lam[i] * gens[i][k] for i in range(d)) for k in range(d))
+                assert cone_contains(cone, inside)
+                normal = _span_normal(gens, d)
+                x = random_rational_point(rng, d, span=5, den=3)
+                if sum(a * b for a, b in zip(normal, x)) != 0:
+                    assert not cone_contains(cone, x)
+
+    def test_facet_rows_are_adjugate_rows(self):
+        rng = random.Random(47)
+        singular = 0
+        for d in (3, 4):
+            for _ in range(200):
+                gens = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d)]
+                if rng.random() < 0.2:
+                    gens[rng.randrange(2, d)] = tuple(
+                        a + b for a, b in zip(gens[0], gens[1]))
+                rows = cone_facet_rows(gens)
+                assert (rows is None) == (int_det(gens) == 0)
+                if rows is None:
+                    singular += 1
+                    continue
+                for i, row in enumerate(rows):
+                    for k, g in enumerate(gens):
+                        value = sum(a * b for a, b in zip(row, g))
+                        assert value > 0 if k == i else value == 0
+        assert singular > 20
 
 
 class TestColourfulDepth:
@@ -232,6 +355,22 @@ class TestDDepth:
         with pytest.raises(InputError):
             d_depth(symmetric_example(), (0, 1), fp(0, 0))
 
+    def test_matches_gauss_jordan_count_at_d3(self):
+        rng = random.Random(53)
+        for seed in range(3):
+            config = random_configuration(3, seed)
+            subset = (0, 2, 3)
+            for _ in range(10):
+                x = random_rational_point(rng, 3, span=5, den=3)
+                if all(c == 0 for c in x):
+                    continue
+                want = 0
+                for choice in itertools.product(range(4), repeat=3):
+                    gens = [config.point(c, j) for c, j in zip(subset, choice)]
+                    if all(c >= 0 for c in _cone_coefficients(gens, x)):
+                        want += 1
+                assert d_depth(config, subset, x) == want
+
     def test_bad_colour_subsets(self):
         config = symmetric_example()
         with pytest.raises(InputError):
@@ -285,3 +424,24 @@ class TestAntipodalCheck:
                 d_depth(config, subset, tuple(-x for x in config.point(excluded, j)))
                 for j in range(3))
             assert total == depth
+
+
+class TestParityProperty:
+    def test_octahedra_contain_the_origin_an_even_number_of_times(self):
+        """Deza-Huang-Stephen-Terlaky (DCG 2006): in general position, of the
+        2^(d+1) colourful simplices on two points per colour, an even
+        number contain the origin."""
+        rng = random.Random(2006)
+        nonzero = 0
+        for d in (1, 2, 3):
+            for seed in range(10):
+                config = random_configuration(d, seed)
+                for _ in range(20):
+                    pairs = [rng.sample(range(d + 1), 2) for _ in range(d + 1)]
+                    count = sum(
+                        simplex_contains_origin(
+                            [config.point(c, pairs[c][b]) for c, b in enumerate(bits)])[0]
+                        for bits in itertools.product((0, 1), repeat=d + 1))
+                    assert count % 2 == 0, (d, seed, pairs)
+                    nonzero += count > 0
+        assert nonzero > 300

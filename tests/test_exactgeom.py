@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from csdepth import InputError, LinearSystem, ParseError, Relation, det_sign, \
-    feasible_point, format_rational, parse_rational, solve_square
-from csdepth.exactgeom import vec_dot, vec_neg
+from csdepth import ParseError, format_rational, parse_rational
+from csdepth.exactgeom import Relation, int_det, max_slack_point, vec_dot, vec_neg
 
 from helpers import oracle_feasible_2d
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
+integers = st.integers(min_value=-10_000, max_value=10_000)
 
 
 class TestRationalStrings:
@@ -39,84 +39,44 @@ class TestRationalStrings:
 
 
 class TestDetSign:
+    """Determinant signs, by `int_det` on integer rows."""
+
     def test_identity(self):
-        assert det_sign([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]) == 1
+        assert int_det([(1, 0), (0, 1)]) == 1
 
     def test_swap(self):
-        assert det_sign([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))]) == -1
+        assert int_det([(0, 1), (1, 0)]) == -1
 
     def test_dependent(self):
-        assert det_sign([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))]) == 0
+        assert int_det([(1, 2), (2, 4)]) == 0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            det_sign([(Fraction(1),), (Fraction(0), Fraction(1))])
-
-    @given(st.lists(st.tuples(fractions, fractions, fractions), min_size=3, max_size=3))
-    def test_transposition_flips(self, cols):
-        cols = [tuple(c) for c in cols]
-        base = det_sign(cols)
-        swapped = det_sign([cols[1], cols[0], cols[2]])
+    @given(st.lists(st.tuples(integers, integers, integers), min_size=3, max_size=3))
+    def test_transposition_flips(self, rows):
+        base = int_det(rows)
+        swapped = int_det([rows[1], rows[0], rows[2]])
         assert swapped == -base
 
-    @given(st.tuples(fractions, fractions), st.tuples(fractions, fractions))
+    @given(st.tuples(integers, integers), st.tuples(integers, integers))
     def test_repeated_column_is_zero(self, a, b):
-        assert det_sign([a, a]) == 0
-
-
-class TestSolveSquare:
-    def test_identity_basis(self):
-        sol = solve_square([(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))],
-                           (Fraction(3, 2), Fraction(-2)))
-        assert sol == (Fraction(3, 2), Fraction(-2))
-
-    def test_symmetric_sum(self):
-        sol = solve_square([(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))],
-                           (Fraction(2), Fraction(0)))
-        assert sol == (Fraction(1), Fraction(1))
-
-    def test_singular(self):
-        assert solve_square([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))],
-                            (Fraction(1), Fraction(1))) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            solve_square([(Fraction(1), Fraction(0))], (Fraction(1),))
-
-    @settings(max_examples=200)
-    @given(st.lists(st.lists(fractions, min_size=3, max_size=3),
-                    min_size=3, max_size=3),
-           st.lists(fractions, min_size=3, max_size=3))
-    def test_substitution_reproduces_rhs(self, cols, rhs):
-        cols = [tuple(c) for c in cols]
-        rhs = tuple(rhs)
-        sol = solve_square(cols, rhs)
-        if sol is None:
-            assert det_sign(cols) == 0
-        else:
-            for k in range(3):
-                assert sum(sol[i] * cols[i][k] for i in range(3)) == rhs[k]
-
-
-def _system(rows):
-    return LinearSystem(tuple(
-        (tuple(Fraction(a) for a in normal), rel) for normal, rel in rows))
+        assert int_det([a, a]) == 0
 
 
 class TestFeasiblePoint:
+    """Feasible points of integer sign systems, by `max_slack_point`."""
+
     def test_open_quadrant(self):
-        sol = feasible_point(_system([((1, 0), Relation.GT), ((0, 1), Relation.GT)]))
+        sol = max_slack_point([((1, 0), Relation.GT), ((0, 1), Relation.GT)], 2)
         assert sol is not None and sol[0] > 0 and sol[1] > 0
 
     def test_contradictory(self):
-        assert feasible_point(_system([((1,), Relation.GT), ((-1,), Relation.GT)])) is None
+        assert max_slack_point([((1,), Relation.GT), ((-1,), Relation.GT)], 1) is None
 
     def test_forced_origin(self):
-        sol = feasible_point(_system([((1,), Relation.GE), ((-1,), Relation.GE)]))
+        sol = max_slack_point([((1,), Relation.GE), ((-1,), Relation.GE)], 1)
         assert sol == (Fraction(0),)
 
     def test_equality_plus_strict(self):
-        sol = feasible_point(_system([((1, 1), Relation.EQ), ((1, 0), Relation.GT)]))
+        sol = max_slack_point([((1, 1), Relation.EQ), ((1, 0), Relation.GT)], 2)
         assert sol is not None
         assert sol[0] + sol[1] == 0 and sol[0] > 0
 
@@ -128,7 +88,7 @@ class TestFeasiblePoint:
                       for _ in range(d))
             rows = []
             for _ in range(rng.randint(1, 8)):
-                a = tuple(Fraction(rng.randint(-9, 9)) for _ in range(d))
+                a = tuple(rng.randint(-9, 9) for _ in range(d))
                 v = vec_dot(a, x)
                 if v > 0:
                     rows.append((a, rng.choice([Relation.GT, Relation.GE])))
@@ -136,10 +96,9 @@ class TestFeasiblePoint:
                     rows.append((a, rng.choice([Relation.EQ, Relation.GE])))
                 else:
                     rows.append((vec_neg(a), rng.choice([Relation.GT, Relation.GE])))
-            system = LinearSystem(tuple(rows))
-            sol = feasible_point(system)
+            sol = max_slack_point(rows, d)
             assert sol is not None
-            for normal, rel in system.rows:
+            for normal, rel in rows:
                 value = vec_dot(normal, sol)
                 if rel is Relation.GT:
                     assert value > 0
@@ -162,17 +121,12 @@ class TestFeasiblePoint:
                     a = (1, 0)
                 rel = rng.choice([Relation.GE, Relation.GT, Relation.GT, Relation.EQ])
                 rows.append((a, rel))
-            got = feasible_point(_system(rows)) is not None
+            got = max_slack_point(rows, 2) is not None
             want = oracle_feasible_2d([(a, rels[r]) for a, r in rows])
             assert got == want
             outcomes[got] += 1
         assert outcomes[True] > 30 and outcomes[False] > 30
 
-    def test_empty_system_rejected(self):
-        with pytest.raises(InputError):
-            LinearSystem(())
-
     def test_determinism(self):
-        system = _system([((3, -1), Relation.GT), ((1, 2), Relation.GT),
-                          ((0, 1), Relation.GE)])
-        assert feasible_point(system) == feasible_point(system)
+        rows = [((3, -1), Relation.GT), ((1, 2), Relation.GT), ((0, 1), Relation.GE)]
+        assert max_slack_point(rows, 2) == max_slack_point(rows, 2)

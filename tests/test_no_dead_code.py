@@ -1,0 +1,56 @@
+"""Dead-code guard: every export and every private helper has a user.
+
+Uses are found with the standard `ast` module: a name counts as used where
+it is loaded (a bare name or an attribute), except inside the top-level
+definition of that same name, so a function that only calls itself is
+still unused.  Import lists and `__all__` strings are not uses.
+"""
+
+import ast
+from pathlib import Path
+
+import csdepth
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "csdepth"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _uses(paths) -> set[str]:
+    used = set()
+    for path in paths:
+        for top in _parse(path).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_export_is_used():
+    assert all(hasattr(csdepth, name) for name in csdepth.__all__)
+    used = _uses([p for p in SOURCES if p.name != "__init__.py"] + TESTS)
+    unused = sorted(set(csdepth.__all__) - used)
+    assert not unused, f"exported but used nowhere in src/ or tests/: {unused}"
+
+
+def test_every_private_function_is_used():
+    used = _uses(SOURCES)
+    unused = sorted(
+        f"{path.stem}.{top.name}"
+        for path in SOURCES for top in _parse(path).body
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and top.name.startswith("_") and not top.name.startswith("__")
+        and top.name not in used)
+    assert not unused, f"private functions used nowhere in src/: {unused}"
