@@ -16,6 +16,11 @@ the neighbour's witness is the wall point pushed off H_j by an exact
 integer step.  No LP, floating point, perturbation or symbolic
 infinitesimals are involved, and every witness is re-checked strictly.
 
+Cones are read in the integer form `ConeSpec` computes once.  An uncovered
+family's witness is an exact integer point of its first uncovered cell,
+found without an LP: the cell's own witness, or, when that lies in a
+degenerate cone, a seeded point of the cell off every degenerate span.
+
 Exact coverage is supported for dimension <= 4 by default; the cell count
 grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
 generic cones at d = 4) and dimension 5 is only permitted behind an explicit
@@ -24,7 +29,6 @@ flag (80 hyperplanes, millions of cells: hours, not seconds).
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -32,16 +36,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .depth import ConeSpec, cone_contains
+from .depth import ConeSpec, _cone_contains_ints, cone_contains
 from .errors import InputError
 from .exactgeom import (
     IntVec,
     Point,
-    Relation,
-    cone_facet_rows,
-    int_det,
     kernel_vector,
-    max_slack_point,
     normal_to_span,
     primitive_normal,
     scale_to_integers,
@@ -108,36 +108,38 @@ def _check_cones(cones: Sequence[ConeSpec]) -> int:
 
 def facet_hyperplanes(cones: Sequence[ConeSpec]) -> tuple[CentralHyperplane, ...]:
     """Deduplicated hyperplanes spanned by the (d-1)-subsets of each cone's
-    generators, in canonical sorted order.  Subsets that do not span a
-    (d-1)-space contribute nothing."""
+    generators, in canonical sorted order: an independent cone's facet rows,
+    a dependent cone's normals of those subsets that span a (d-1)-space."""
     d = _check_cones(cones)
     seen: set[IntVec] = set()
     for cone in cones:
-        gens = [scale_to_integers(g)[0] for g in cone.generators]
-        for subset in itertools.combinations(range(d), d - 1):
-            normal = normal_to_span([gens[i] for i in subset], d)
-            if normal is not None:
-                seen.add(primitive_normal(normal))
+        normals = cone.facet_rows
+        if normals is None:
+            gens = cone.int_generators
+            normals = [normal_to_span(gens[:i] + gens[i + 1:], d) for i in range(d)]
+        seen.update(primitive_normal(n) for n in normals if n is not None)
     return tuple(CentralHyperplane(tuple(Fraction(e) for e in n)) for n in sorted(seen))
 
 
-def _generic_direction(normals: Sequence[IntVec], d: int,
-                       rng: random.Random) -> tuple[IntVec, SignVector]:
+def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = None,
+                       reach: int = 0) -> tuple[IntVec, SignVector]:
+    """A seeded integer point off every hyperplane in `normals`, with its signs.
+
+    Offsets v with coordinates in [-bound, bound] are drawn, bound doubling
+    per try.  Given an integer point w, x = m*w + v with m = 1 + bound*reach:
+    when reach >= ||n||_1 for every hyperplane n of w's cell, then
+    |n.v| < m <= |m n.w|, so x stays in that open cell.
+    """
+    rng = random.Random(_GENERIC_SEED)
     bound = 64
     while True:
         x = tuple(rng.randint(-bound, bound) for _ in range(d))
+        if w is not None:
+            x = tuple((1 + bound * reach) * a + b for a, b in zip(w, x))
         dots = [vec_dot(n, x) for n in normals]
         if all(dots):
             return x, tuple(1 if t > 0 else -1 for t in dots)
         bound *= 2
-
-
-def _cell_witness(normals: Sequence[IntVec], sigma: SignVector,
-                  extra: Sequence[tuple[IntVec, Relation]] = ()) -> Optional[Point]:
-    rows = [(n if s > 0 else tuple(-e for e in n), Relation.GT)
-            for n, s in zip(normals, sigma)]
-    rows.extend(extra)
-    return max_slack_point(rows, len(normals[0]))
 
 
 def _walls(normals: Sequence[IntVec], j: int) -> dict[SignVector, IntVec]:
@@ -205,7 +207,7 @@ def _cells(normals: Sequence[IntVec], d: int) -> Iterator[tuple[SignVector, IntV
     if not normals:
         yield (), tuple(1 if i == 0 else 0 for i in range(d))
         return
-    start, start_sigma = _generic_direction(normals, d, random.Random(_GENERIC_SEED))
+    start, start_sigma = _generic_direction(normals, d)
     walls: dict[int, tuple[dict[SignVector, IntVec], list[int]]] = {}
     yield start_sigma, start
     queue = deque([start_sigma])
@@ -241,77 +243,23 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
         yield sigma, tuple(Fraction(e) for e in witness)
 
 
-def _independent_cone_rows(cones: Sequence[ConeSpec]
-                           ) -> list[tuple[int, tuple[IntVec, ...]]]:
-    """(original index, facet rows) for each cone with independent generators."""
-    out = []
-    for idx, cone in enumerate(cones):
-        gens = [scale_to_integers(g)[0] for g in cone.generators]
-        rows = cone_facet_rows(gens)
-        if rows is not None:
-            out.append((idx, rows))
-    return out
-
-
-def _degenerate_spans(cones: Sequence[ConeSpec]) -> list[tuple[int, IntVec]]:
-    """(index, normal of a hyperplane containing the span) per degenerate cone."""
-    out = []
-    d = _check_cones(cones)
-    for idx, cone in enumerate(cones):
-        gens = [scale_to_integers(g)[0] for g in cone.generators]
-        rows = [[g[i] for g in gens] for i in range(d)]
-        if int_det(rows) == 0:
-            n = kernel_vector(gens, d)
-            out.append((idx, n))
-    return out
-
-
 def _verified_uncovered(direction: Point, cones: Sequence[ConeSpec]) -> bool:
     return not any(cone_contains(cone, direction) for cone in cones)
 
 
-def _witness_outside_spans(cones: Sequence[ConeSpec], d: int) -> Point:
-    """Direction outside every cone of a family with no full-dimensional
-    member: each cone lives in a proper subspace, so a direction with nonzero
-    product against one kernel normal per cone avoids them all."""
-    spans = _degenerate_spans(cones)
-    rng = random.Random(_GENERIC_SEED)
-    bound = 64
-    while True:
-        x = tuple(rng.randint(-bound, bound) for _ in range(d))
-        if any(e for e in x) and all(vec_dot(n, x) != 0 for _, n in spans):
-            direction = tuple(Fraction(e) for e in x)
-            if _verified_uncovered(direction, cones):
-                return direction
-        bound *= 2
-
-
-def _repair_witness(normals: Sequence[IntVec], sigma: SignVector,
-                    witness: Point, cones: Sequence[ConeSpec]) -> Point:
-    """An uncovered cell's witness must lie in no cone at all.  The witness is
-    already outside every full-dimensional cone (membership is constant on the
-    cell) but may, exceptionally, sit exactly inside a degenerate cone's span;
-    push it off all such spans while staying interior to the cell."""
-    extra: list[tuple[IntVec, Relation]] = []
-    current = witness
-    for _ in range(len(cones) + 1):
-        offending = [cone for cone in cones if cone_contains(cone, current)]
-        if not offending:
-            return current
-        for cone in offending:
-            gens = [scale_to_integers(g)[0] for g in cone.generators]
-            n = kernel_vector(gens, len(current))
-            if n is None:
-                raise AssertionError("cell witness inside a full-dimensional cone")
-            for signed in (n, tuple(-e for e in n)):
-                sol = _cell_witness(normals, sigma, extra + [(signed, Relation.GT)])
-                if sol is not None:
-                    extra.append((signed, Relation.GT))
-                    current = sol
-                    break
-            else:
-                raise AssertionError("open cell cannot be contained in a hyperplane")
-    raise AssertionError("witness repair failed to terminate")
+def _uncovered_direction(cones: Sequence[ConeSpec], w: Optional[IntVec] = None,
+                         hyperplanes: Sequence[CentralHyperplane] = ()) -> Point:
+    """A direction in no cone, given that no full-dimensional cone contains
+    the open cell of `hyperplanes` holding the integer point w (all of space
+    when w is None): only the dependent cones' spans can meet that cell, so
+    a point of it off one kernel normal per dependent cone will do."""
+    d = cones[0].dimension
+    spans = [kernel_vector(c.int_generators, d) for c in cones if c.facet_rows is None]
+    reach = max((sum(abs(e) for e in h.int_normal()) for h in hyperplanes), default=0)
+    direction = tuple(Fraction(e) for e in _generic_direction(spans, d, w, reach)[0])
+    if not _verified_uncovered(direction, cones):
+        raise AssertionError("a direction off every degenerate span lies in a cone")
+    return direction
 
 
 def covers_space(cones: Sequence[ConeSpec], *,
@@ -321,8 +269,10 @@ def covers_space(cones: Sequence[ConeSpec], *,
     Covered means every full-dimensional cell of the facet arrangement lies
     inside at least one cone with independent generators (degenerate cones
     never earn coverage credit, though their facets contribute hyperplanes).
-    On failure the witness of the first uncovered cell is returned, verified
-    to lie in no cone.
+    On failure the uncovered direction is an exact integer point of the
+    first uncovered cell, verified to lie in no cone: the cell's own
+    witness, or, when that lies in a degenerate cone, a point of the same
+    cell found by a seeded integer search (`_uncovered_direction`).
     """
     d = _check_cones(cones)
     if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
@@ -331,25 +281,22 @@ def covers_space(cones: Sequence[ConeSpec], *,
             "(cell counts grow combinatorially: expect millions of cells and "
             "hours of work beyond dimension 4)")
     hyperplanes = facet_hyperplanes(cones)
-    full = _independent_cone_rows(cones)
+    full = [(idx, cone) for idx, cone in enumerate(cones) if cone.facet_rows is not None]
     if not full:
-        witness = _witness_outside_spans(cones, d)
-        return CoverageCertificate(False, 0, hyperplanes, uncovered_direction=witness)
-    normals = [h.int_normal() for h in hyperplanes]
+        return CoverageCertificate(False, 0, hyperplanes,
+                                   uncovered_direction=_uncovered_direction(cones))
     mapping: dict[SignVector, int] = {}
     checked = 0
     for sigma, witness in enumerate_cells(hyperplanes):
         checked += 1
         x = scale_to_integers(witness)[0]
-        hit = None
-        for idx, rows in full:
-            if all(vec_dot(r, x) >= 0 for r in rows):
-                hit = idx
-                break
+        hit = next((idx for idx, cone in full
+                    if _cone_contains_ints(cone.int_generators, cone.facet_rows, x)), None)
         if hit is None:
-            good = _repair_witness(normals, sigma, witness, cones)
+            if not _verified_uncovered(witness, cones):
+                witness = _uncovered_direction(cones, x, hyperplanes)
             return CoverageCertificate(False, checked, hyperplanes,
-                                       uncovered_direction=good)
+                                       uncovered_direction=witness)
         mapping[sigma] = hit
     return CoverageCertificate(True, checked, hyperplanes, per_cell_cone=mapping)
 
@@ -358,19 +305,11 @@ def monte_carlo_refuter(cones: Sequence[ConeSpec], samples: int,
                         seed: int) -> Optional[Point]:
     """Sample seeded integer directions and return the first lying in no cone,
     exactly re-verified, or None.  Never claims coverage."""
-    _check_cones(cones)
+    d = _check_cones(cones)
     if samples < 1:
         raise InputError("need at least one sample")
-    d = cones[0].dimension
-    fast = []
-    slow = []
-    for cone in cones:
-        gens = [scale_to_integers(g)[0] for g in cone.generators]
-        rows = cone_facet_rows(gens)
-        if rows is not None:
-            fast.append(rows)
-        else:
-            slow.append(cone)
+    fast = [cone.facet_rows for cone in cones if cone.facet_rows is not None]
+    slow = [cone for cone in cones if cone.facet_rows is None]
     rng = random.Random(seed)
     span = 1 << 21
     for _ in range(samples):

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .configuration import Configuration, Transversal, enumerate_transversals
+from .configuration import (
+    Configuration,
+    Transversal,
+    enumerate_transversals,
+    transversal_points,
+)
 from .errors import InputError
 from .exactgeom import (
     IntVec,
@@ -38,7 +43,12 @@ from .exactgeom import (
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Simplicial cone pointed at the origin: nonnegative span of d generators."""
+    """Simplicial cone pointed at the origin: nonnegative span of d generators.
+
+    On construction it stores its integer form as plain attributes, outside
+    equality, hashing and repr: `int_generators` (each generator scaled by
+    `scale_to_integers`) and their `cone_facet_rows` as `facet_rows` (None
+    when the generators are dependent)."""
 
     generators: tuple[Point, ...]
 
@@ -51,6 +61,9 @@ class ConeSpec:
                 raise InputError(f"expected {d} coordinates per generator, got {len(g)}")
             if is_zero_vec(g):
                 raise InputError("cone generators must be nonzero")
+        ints = tuple(scale_to_integers(g)[0] for g in self.generators)
+        object.__setattr__(self, "int_generators", ints)
+        object.__setattr__(self, "facet_rows", cone_facet_rows(ints))
 
     @property
     def dimension(self) -> int:
@@ -158,8 +171,8 @@ def cone_contains(cone: ConeSpec, x: Point) -> bool:
     d = cone.dimension
     if len(x) != d:
         raise InputError(f"expected {d} coordinates, got {len(x)}")
-    gens = [scale_to_integers(g)[0] for g in cone.generators]
-    return _cone_contains_ints(gens, cone_facet_rows(gens), scale_to_integers(x)[0])
+    return _cone_contains_ints(cone.int_generators, cone.facet_rows,
+                               scale_to_integers(x)[0])
 
 
 def colourful_depth(config: Configuration) -> DepthReport:
@@ -249,8 +262,7 @@ def antipodal_check(config: Configuration, choice: Transversal, colour: int) -> 
     d = config.dimension
     if not 0 <= colour <= d:
         raise InputError(f"colour {colour} out of range 0..{d}")
-    if len(choice) != d + 1:
-        raise InputError(f"transversal needs {d + 1} entries")
-    gens = tuple(config.point(c, choice[c]) for c in range(d + 1) if c != colour)
-    apex = vec_neg(config.point(colour, choice[colour]))
+    points = transversal_points(config, choice)
+    gens = points[:colour] + points[colour + 1:]
+    apex = vec_neg(points[colour])
     return cone_contains(ConeSpec(gens), apex)

@@ -21,6 +21,7 @@ the system is strictly feasible iff the optimal slack is positive.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -38,12 +39,15 @@ def parse_rational(text: str) -> Fraction:
     """Parse a base-10 rational string "p" or "p/q"."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"{text!r} is not a valid rational (expected 'p' or 'p/q')")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"{text!r} has a zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        p, q = int(num), int(den or "1")
+    except ValueError:  # more digits than int() converts: sys.get_int_max_str_digits()
+        raise ParseError(f"a rational of {len(text)} characters has more digits than "
+                         f"the {sys.get_int_max_str_digits()}-digit limit") from None
+    if q == 0:
+        raise ParseError(f"{text!r} has a zero denominator")
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:

@@ -356,6 +356,46 @@ class TestCoversSpace:
         assert all(set(k) <= {"+", "-"} for k in doc["per_cell_cone"])
 
 
+class TestUncoveredWitnessSearch:
+    """The first uncovered cell's own witness can lie in a dependent cone;
+    the certificate must then carry another point of that cell."""
+
+    @pytest.mark.parametrize("d,seed", [(3, 71), (4, 72)])
+    def test_witness_inside_rank_one_cone_is_replaced(self, d, seed):
+        rng = random.Random(seed)
+        while True:
+            cones, _ = random_pair_cones(rng, d)
+            full = [c for c in cones if solve_columns(c.generators, (1,) * d)[0] != 0]
+            hps = facet_hyperplanes(cones)
+            sigma, w = next(iter(enumerate_cells(hps)))
+            if not any(cone_contains(c, w) for c in full):
+                break
+        ray = ConeSpec(tuple(tuple(k * e for e in w) for k in range(1, d + 1)))
+        family = cones + [ray]
+        cert = covers_space(family)
+        assert not cert.covered
+        x = cert.uncovered_direction
+        assert x != w and cone_contains(ray, w)
+        assert not any(cone_contains(c, x) for c in family)
+        assert all(vec_dot(h.normal, x) != 0 for h in cert.hyperplanes)
+        first = next(s for s, y in enumerate_cells(cert.hyperplanes)
+                     if not any(cone_contains(c, y) for c in full))
+        signs = tuple(1 if vec_dot(h.normal, x) > 0 else -1 for h in cert.hyperplanes)
+        assert signs == first == sigma
+
+    def test_d3_family_without_full_cone(self):
+        # one ray (a, 2a, 3a) and two planar cones (a, b, a+b), (b, c, b+2c)
+        a, b = fp(1, 2, -1), fp(-3, 1, 4)
+        cones = [cone(a, fp(2, 4, -2), fp(3, 6, -3)),
+                 cone(a, b, fp(-2, 3, 3)),
+                 cone(b, fp(1, 0, 1), fp(-1, 1, 6))]
+        assert all(solve_columns(c.generators, (1, 1, 1))[0] == 0 for c in cones)
+        cert = covers_space(cones)
+        assert not cert.covered
+        assert cert.cells_checked == 0
+        assert not any(cone_contains(c, cert.uncovered_direction) for c in cones)
+
+
 class TestDegreeOracle:
     @pytest.mark.parametrize("d,wanted", [(2, 20), (3, 10), (4, 1)])
     def test_nonzero_degree_implies_covered(self, d, wanted):

@@ -83,6 +83,15 @@ class TestDepth:
         assert err.startswith("error:")
         assert out == ""
 
+    def test_overlong_coordinate_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"d": 1, "colours": [[["1" + "0" * 5000], ["-1"]],
+                                                        [["1"], ["-1"]]]}))
+        code, out, err = run_cli(capsys, "depth", str(path))
+        assert code == 2
+        assert err.startswith("error: colours[0][0]:")
+        assert out == ""
+
     def test_boolean_dimension_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"d": True, "colours": [[["1"], ["-1"]],

@@ -404,6 +404,11 @@ class TestAntipodalCheck:
         config = Configuration(2, (cls0, cls1, cls2))
         assert antipodal_check(config, (0, 0, 0), 2) is False
 
+    @pytest.mark.parametrize("choice", [(0, 1, -1), (0, 3, 1), (0, 1), (0, 1, 2, 0)])
+    def test_transversal_out_of_range_rejected(self, choice):
+        with pytest.raises(InputError):
+            antipodal_check(symmetric_example(), choice, 2)
+
     def test_equivalence_on_random_configurations(self):
         for d, seeds in ((2, range(8)), (3, range(2))):
             for seed in seeds:

@@ -29,6 +29,14 @@ class TestRationalStrings:
         with pytest.raises(ParseError):
             parse_rational(text)
 
+    @pytest.mark.parametrize("text", ["1" + "0" * 5000, "-7/1" + "0" * 5000],
+                             ids=["numerator", "denominator"])
+    def test_rejects_more_digits_than_int_converts(self, text):
+        # int() refuses strings beyond sys.get_int_max_str_digits() (4300 by
+        # default) with ValueError; that is bad input, not a crash
+        with pytest.raises(ParseError, match="digit limit"):
+            parse_rational(text)
+
     @given(fractions)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q

@@ -1,4 +1,5 @@
-"""Dead-code guard: every export and every private helper has a user.
+"""Dead-code guard: every export, every private helper and every import has
+a user.
 
 Uses are found with the standard `ast` module: a name counts as used where
 it is loaded (a bare name or an attribute), except inside the top-level
@@ -54,3 +55,23 @@ def test_every_private_function_is_used():
         and top.name.startswith("_") and not top.name.startswith("__")
         and top.name not in used)
     assert not unused, f"private functions used nowhere in src/: {unused}"
+
+
+def test_every_import_is_used():
+    # __init__ imports only to re-export; its names are checked above
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names if name not in loaded]
+    assert not unused, f"imported but never used: {unused}"
