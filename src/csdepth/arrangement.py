@@ -111,12 +111,17 @@ def facet_hyperplanes(cones: Sequence[ConeSpec]) -> tuple[CentralHyperplane, ...
     generators, in canonical sorted order: an independent cone's facet rows,
     a dependent cone's normals of those subsets that span a (d-1)-space."""
     d = _check_cones(cones)
+    return _span_hyperplanes([(c.int_generators, c.facet_rows) for c in cones], d)
+
+
+def _span_hyperplanes(int_cones: Sequence[tuple[Sequence[IntVec], Optional[Sequence[IntVec]]]],
+                      d: int) -> tuple[CentralHyperplane, ...]:
+    """`facet_hyperplanes` of cones given in integer form: (generators,
+    `cone_facet_rows` of them or None) pairs."""
     seen: set[IntVec] = set()
-    for cone in cones:
-        normals = cone.facet_rows
+    for gens, normals in int_cones:
         if normals is None:
-            gens = cone.int_generators
-            normals = [normal_to_span(gens[:i] + gens[i + 1:], d) for i in range(d)]
+            normals = [normal_to_span([*gens[:i], *gens[i + 1:]], d) for i in range(d)]
         seen.update(primitive_normal(n) for n in normals if n is not None)
     return tuple(CentralHyperplane(tuple(Fraction(e) for e in n)) for n in sorted(seen))
 

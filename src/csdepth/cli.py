@@ -178,8 +178,14 @@ def _verify_checks(config: Configuration, seed: int) -> list[dict]:
         depth = colourful_depth(config).depth
         bound = theorem_bound(d)
         ok = depth >= bound and depth >= 2 * d
-        checks.append({"name": "depth_lower_bounds", "passed": ok,
-                       "detail": f"depth {depth}, bounds {bound} and {2 * d}"})
+        detail = f"depth {depth}, bounds {bound} and {2 * d}"
+        if report.general_position:
+            # in general position the minimum is d^2+1 (Sarrabezolles 2015)
+            # and the maximum d^(d+1)+1 (Adiprasito et al. 2020)
+            low, high = d * d + 1, d ** (d + 1) + 1
+            ok = ok and low <= depth <= high
+            detail += f"; general position: minimum {low}, maximum {high}"
+        checks.append({"name": "depth_lower_bounds", "passed": ok, "detail": detail})
         ws = generate_witnesses(config, seed=seed)
         checks.append({"name": "witness_construction",
                        "passed": verify_witness_set(config, ws),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arrangement import CoverageCertificate, covers_space, enumerate_cells, facet_hyperplanes
+from .arrangement import CoverageCertificate, _span_hyperplanes, covers_space, enumerate_cells
 from .configuration import Configuration, validate
 from .depth import ConeSpec, _ConeFamily
 from .errors import InputError
@@ -89,11 +89,12 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
     return covers_space(cones)
 
 
-def _candidate_directions(config: Configuration, subset: tuple[int, ...],
+def _candidate_directions(config: Configuration, family: _ConeFamily,
                           seed: int, exhaustive: bool):
     """Nonzero integer candidate directions in deterministic priority order:
     antipodes of all configuration points, then cell witnesses of the full
-    cone family's facet arrangement (exhaustive mode), then random draws."""
+    cone family's facet arrangement (exhaustive mode, hyperplanes read from
+    the family's facet rows), then random draws."""
     d = config.dimension
     emitted: set[IntVec] = set()
 
@@ -111,11 +112,7 @@ def _candidate_directions(config: Configuration, subset: tuple[int, ...],
         if fresh(x):
             yield x
     if exhaustive:
-        cones = [ConeSpec(tuple(config.colours[c][choice[i]]
-                                for i, c in enumerate(subset)))
-                 for choice in itertools.product(range(d + 1), repeat=d)]
-        hyperplanes = facet_hyperplanes(cones)
-        for _, witness in enumerate_cells(hyperplanes):
+        for _, witness in enumerate_cells(_span_hyperplanes(family.cones, d)):
             x = scale_to_integers(witness)[0]
             if fresh(x):
                 yield x
@@ -155,7 +152,7 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     family = _ConeFamily([config.colours[c] for c in subset])
     best = len(family.choices) + 1
     tried = 0
-    for x in _candidate_directions(config, subset, seed, exhaustive):
+    for x in _candidate_directions(config, family, seed, exhaustive):
         tried += 1
         hits = family.containing(x)
         best = min(best, len(hits))

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .configuration import (
     Configuration,
     Transversal,
-    enumerate_transversals,
     transversal_points,
 )
 from .errors import InputError
@@ -96,6 +95,16 @@ def _origin_weights(ints: Sequence[IntVec], strict: IntVec) -> Optional[Point]:
     return max_slack_point(rows, n)
 
 
+def _cofactor_verdict(cs: Sequence[int]) -> Optional[bool]:
+    """Closed containment of the origin in the hull of d+1 vertices whose
+    weights `cs` (see `_contains_origin_scaled`) do not sum to 0: the origin
+    is inside iff the weights share one sign.  None when they sum to 0, where
+    the vertices may be affinely dependent and the signs decide nothing."""
+    if sum(cs) == 0:
+        return None
+    return min(cs) >= 0 or max(cs) <= 0
+
+
 def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[int]
                             ) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Closed containment of the origin in the hull of d+1 pre-scaled vertices,
@@ -107,9 +116,10 @@ def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[i
     original (unscaled) vertices.
     """
     n = len(scaled)
-    if sum(cs) != 0:
-        if not (all(c >= 0 for c in cs) or all(c <= 0 for c in cs)):
-            return False, None
+    verdict = _cofactor_verdict(cs)
+    if verdict is False:
+        return False, None
+    if verdict:
         weights = [cs[i] * scaled[i][1] for i in range(n)]
         s = sum(weights)
         return True, tuple(Fraction(w, s) for w in weights)
@@ -145,11 +155,24 @@ def simplex_contains_origin(vertices: Sequence[Point]
 
 
 def origin_in_convex_hull(points: Sequence[Point]) -> bool:
-    """Closed containment of the origin in the hull of any number of points."""
+    """Closed containment of the origin in the hull of any number of points.
+
+    d+1 points in dimension d are decided by the signs of the cofactors of
+    their coordinate columns (`_cofactor_verdict`), and d linearly
+    independent points never contain it; every other case, and cofactors
+    summing to 0, by exact feasibility."""
     points = tuple(points)
     if not points:
         raise InputError("need at least one point")
     scaled = [scale_to_integers(p)[0] for p in points]
+    d = len(scaled[0])
+    if len(scaled) == d + 1:
+        columns = [tuple(v[k] for v in scaled) for k in range(d)]
+        verdict = _cofactor_verdict(normal_to_span(columns, d + 1) or (0,) * (d + 1))
+        if verdict is not None:
+            return verdict
+    elif len(scaled) == d and int_det(scaled) != 0:
+        return False
     return _origin_weights(scaled, (1,) * len(points)) is not None
 
 
@@ -175,37 +198,143 @@ def cone_contains(cone: ConeSpec, x: Point) -> bool:
                                scale_to_integers(x)[0])
 
 
+class _MinorTable:
+    """Every colourful d×d minor of a configuration's points as given, and
+    the verdict each transversal reads from them.
+
+    `scaled[c][j]` is point (c, j) as `scale_to_integers` returns it.
+    `minors[i]` lists the signed minors for colour i, the points of the other
+    colours chosen in lexicographic order; each is computed once and serves
+    the d+1 transversals that differ in colour i alone.  Transversal t (in
+    lexicographic order) has the base-(d+1) digits `choice`; deleting digit i
+    gives the position of its minor in minors[i] (`weights` reads them).
+    `verdicts[t]` says whether its closed simplex contains the origin, and
+    `depth` counts the transversals that do.
+
+    `propose` gives the exact depth after replacing one colour's points and
+    `commit` adopts that change.  A move of colour c changes a set S of its
+    points; only the minors with a point of S as their colour-c row change,
+    and only the transversals through S are decided again.  For i != c
+    such a minor is dot(p, N), p the new point and N the signed
+    `normal_to_span` of its other d-1 rows.  These normals are cached per
+    (i, c), and a commit drops only the ones reading the changed colour.
+    """
+
+    def __init__(self, colours: Sequence[Sequence[Point]]):
+        d = len(colours) - 1
+        n = d + 1
+        self.dimension = d
+        self.scaled = [[scale_to_integers(p) for p in cls] for cls in colours]
+        self.minors = []
+        for i in range(n):
+            others = [self.scaled[c] for c in range(n) if c != i]
+            sign = 1 if (n + i) % 2 == 0 else -1
+            self.minors.append([sign * int_det([others[a][j][0] for a, j in enumerate(rest)])
+                                for rest in itertools.product(range(n), repeat=d)])
+        self._high = [n ** (n - i) for i in range(n)]
+        self._low = [n ** (d - i) for i in range(n)]
+        self.verdicts = self.decide(range(n ** n), self.scaled, self.minors)
+        self.depth = sum(self.verdicts)
+        self._normals: dict[tuple[int, int], tuple[list[IntVec], list[int], int]] = {}
+        self._pending = None
+
+    def choice(self, t: int) -> Transversal:
+        """The base-(d+1) digits of transversal t: its point of each colour."""
+        return tuple(t // lo % len(self._low) for lo in self._low)
+
+    def weights(self, ts: Sequence[int], minors: Sequence[Sequence[int]]
+                ) -> Iterator[tuple[int, ...]]:
+        """The cofactor weights of each transversal in ts, read from `minors`."""
+        return zip(*[[m[t // h * lo + t % lo] for t in ts]
+                     for m, h, lo in zip(minors, self._high, self._low)])
+
+    def decide(self, ts: Sequence[int], scaled, minors) -> list[bool]:
+        """Verdicts of the transversals ts over the given points and minors
+        (this table's, or a proposed change of them): cofactor signs, or
+        exact feasibility when the weights sum to 0."""
+        out = []
+        for t, cs in zip(ts, self.weights(ts, minors)):
+            verdict = _cofactor_verdict(cs)
+            if verdict is None:
+                verts = [scaled[c][j][0] for c, j in enumerate(self.choice(t))]
+                verdict = _origin_weights(verts, (1,) * len(verts)) is not None
+            out.append(verdict)
+        return out
+
+    def _normal_table(self, i: int, c: int) -> tuple[list[IntVec], list[int], int]:
+        """For the minors of colour i whose colour-c point varies: one signed
+        normal per choice of the other d-1 colours' points, in lexicographic
+        order, the position in minors[i] of each one's minor with colour-c
+        point 0, and the stride that colour-c point j adds j times."""
+        cached = self._normals.get((i, c))
+        if cached is not None:
+            return cached
+        d = self.dimension
+        n = d + 1
+        pos = c if c < i else c - 1  # row of colour c among the colours != i
+        # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
+        # moving x from the last row to row pos takes d-1-pos swaps
+        sign = (1 if (n + i) % 2 == 0 else -1) * (-1) ** pos
+        others = [self.scaled[o] for o in range(n) if o not in (i, c)]
+        stride = n ** (d - 1 - pos)
+        normals = []
+        starts = []
+        for k, rest in enumerate(itertools.product(range(n), repeat=d - 1)):
+            normal = normal_to_span([others[a][j][0] for a, j in enumerate(rest)], d)
+            normals.append((0,) * d if normal is None else tuple(sign * e for e in normal))
+            starts.append(k // stride * stride * n + k % stride)
+        self._normals[(i, c)] = normals, starts, stride
+        return normals, starts, stride
+
+    def propose(self, colour: int, points: Sequence[Point]) -> int:
+        """The exact depth with colour `colour`'s points replaced by `points`;
+        the change is held for `commit` until the next proposal."""
+        d = self.dimension
+        n = d + 1
+        new = [scale_to_integers(p) for p in points]
+        moved = [j for j in range(n) if new[j] != self.scaled[colour][j]]
+        scaled = list(self.scaled)
+        scaled[colour] = new
+        minors = list(self.minors)
+        for i in range(n):
+            if i == colour:
+                continue
+            normals, starts, stride = self._normal_table(i, colour)
+            row = minors[i] = list(minors[i])
+            for j in moved:
+                p = new[j][0]
+                for normal, start in zip(normals, starts):
+                    row[start + j * stride] = vec_dot(p, normal)
+        weight = n ** (d - colour)
+        through = [rest // weight * weight * n + j * weight + rest % weight
+                   for j in moved for rest in range(n ** d)]
+        changed = [t for t, verdict in zip(through, self.decide(through, scaled, minors))
+                   if verdict != self.verdicts[t]]
+        depth = self.depth + sum(-1 if self.verdicts[t] else 1 for t in changed)
+        self._pending = (colour, scaled, minors, changed, depth)
+        return depth
+
+    def commit(self) -> None:
+        """Adopt the last proposal."""
+        colour, self.scaled, self.minors, changed, self.depth = self._pending
+        for t in changed:
+            self.verdicts[t] = not self.verdicts[t]
+        self._normals = {key: v for key, v in self._normals.items() if colour in key}
+        self._pending = None
+
+
 def colourful_depth(config: Configuration) -> DepthReport:
     """Count, over all transversals, the closed colourful simplices containing
     the origin, with barycentric witnesses in lexicographic order.
 
-    The points are tested as given.  A transversal's signed minor for colour
-    i depends only on its points of the other colours, so each colourful
-    d×d minor is computed once per call and serves the d+1 transversals
-    that differ in colour i alone.
-    """
-    d = config.dimension
-    n = d + 1
-    scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
-    # minors[i] lists the signed minors for colour i with the other colours'
-    # points chosen in lexicographic order
-    minors = []
-    for i in range(n):
-        others = [scaled[c] for c in range(n) if c != i]
-        sign = 1 if (n + i) % 2 == 0 else -1
-        minors.append([sign * int_det([others[a][j][0] for a, j in enumerate(rest)])
-                       for rest in itertools.product(range(n), repeat=d)])
-    # Transversal t (in lexicographic order) has the base-n digits `choice`;
-    # deleting digit i gives the position of its minor in minors[i].
-    high = [n ** (n - i) for i in range(n)]
-    low = [n ** (d - i) for i in range(n)]
+    The points are tested as given, through one `_MinorTable`."""
+    table = _MinorTable(config.colours)
+    contained = [t for t, verdict in enumerate(table.verdicts) if verdict]
     witnesses = []
-    for t, choice in enumerate(enumerate_transversals(config)):
-        verts = [scaled[c][j] for c, j in enumerate(choice)]
-        cs = [minors[i][t // high[i] * low[i] + t % low[i]] for i in range(n)]
-        ok, coeffs = _contains_origin_scaled(verts, cs)
-        if ok:
-            witnesses.append((choice, coeffs))
+    for t, cs in zip(contained, table.weights(contained, table.minors)):
+        choice = table.choice(t)
+        verts = [table.scaled[c][j] for c, j in enumerate(choice)]
+        witnesses.append((choice, _contains_origin_scaled(verts, cs)[1]))
     return DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))
 
 
@@ -221,21 +350,22 @@ def _check_colour_subset(config: Configuration, colours: Sequence[int]) -> tuple
 
 
 class _ConeFamily:
-    """All one-point-per-colour cones over given colour classes, with
-    precomputed integer facet rows for fast repeated membership tests."""
+    """All one-point-per-colour cones over given colour classes, in integer
+    form for fast repeated membership tests: `cones` holds, per choice in
+    `choices`, the scaled generators and their `cone_facet_rows`."""
 
     def __init__(self, classes: Sequence[Sequence[Point]]):
         self.dimension = len(classes)
-        self.class_ints = [[scale_to_integers(p)[0] for p in cls] for cls in classes]
+        class_ints = [[scale_to_integers(p)[0] for p in cls] for cls in classes]
         self.choices = list(itertools.product(*[range(len(cls)) for cls in classes]))
-        self._rows = []
+        self.cones = []
         for choice in self.choices:
-            gens = [self.class_ints[i][j] for i, j in enumerate(choice)]
-            self._rows.append((cone_facet_rows(gens), gens))
+            gens = [class_ints[i][j] for i, j in enumerate(choice)]
+            self.cones.append((gens, cone_facet_rows(gens)))
 
     def containing(self, x: IntVec) -> list[tuple[int, ...]]:
         """Choices whose cones contain x, in lexicographic order."""
-        return [choice for choice, (rows, gens) in zip(self.choices, self._rows)
+        return [choice for choice, (gens, rows) in zip(self.choices, self.cones)
                 if _cone_contains_ints(gens, rows, x)]
 
     def count_containing(self, x: IntVec) -> int:

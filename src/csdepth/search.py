@@ -7,12 +7,18 @@ and sits strictly inside its hull.  Descent proposals replace one uniformly
 chosen point with a fresh sample, repairing the anchor (when a non-anchor
 point moved) or rejecting the proposal (when moving the anchor itself would
 evict the origin), so every configuration ever evaluated keeps the origin in
-its core.
+its core.  That hull test reads the cofactor signs of the moved class
+(`origin_in_convex_hull`), with no LP unless they sum to 0.
 
-Every depth evaluation is checked against the proven lower bound; a
-violation aborts the search with the offending configuration attached,
-since it would be a counterexample to the bound or a defect in the
-predicates underneath.
+Each proposal is evaluated exactly and incrementally: its depth is updated
+from the incumbent's minor table, recomputing only the minors and
+transversals through the moved points (`_ProposalScreen`).  A proposal is
+accepted iff that depth is below the incumbent's; an accepted one is
+recounted from scratch by `colourful_depth` as a tripwire, and the two
+counts must agree.  Every depth, incremental or full, is checked against
+the proven lower bound; a violation aborts the search with the offending
+configuration attached, since it would be a counterexample to the bound or
+a defect in the predicates underneath.
 """
 
 from __future__ import annotations
@@ -28,9 +34,8 @@ from .configuration import (
     configuration_to_json_dict,
     validate,
 )
-from .depth import _ConeFamily, colourful_depth, origin_in_convex_hull
+from .depth import _MinorTable, colourful_depth, origin_in_convex_hull
 from .errors import InputError, ViolationError
-from .exactgeom import scale_to_integers
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -88,48 +93,42 @@ def random_configuration(d: int, seed: int) -> Configuration:
         f"seed={seed} after {_GENERATION_RETRIES} attempts")
 
 
-def _checked_depth(config: Configuration) -> int:
-    depth = colourful_depth(config).depth
-    bound = theorem_bound(config.dimension)
+def _check_bound(d: int, depth: int, colours) -> None:
+    bound = theorem_bound(d)
     if depth < bound:
+        config = Configuration(d, tuple(tuple(cls) for cls in colours))
         raise ViolationError(
             f"configuration of depth {depth} < {bound} found: counterexample "
             "to the proven bound, or a defect in the containment predicates",
             counterexample=json.dumps(configuration_to_json_dict(config)))
+
+
+def _checked_depth(config: Configuration) -> int:
+    depth = colourful_depth(config).depth
+    _check_bound(config.dimension, depth, config.colours)
     return depth
 
 
 class _ProposalScreen:
-    """Cheap exact lower bound on candidate depths for descent screening.
+    """Exact colourful depth of each descent proposal, updated from the
+    incumbent configuration's `_MinorTable` (`propose`) instead of
+    recomputed, and checked against the proven bound.
 
-    Counting the cones that contain each antipode of the modified colour's
-    points hits a subset of the containing transversals (all of them in
-    general position), so a count at or above the incumbent depth soundly
-    rejects the proposal.  The cone family over the unmodified colours is
-    cached and rebuilt only after accepted moves.
+    The method names are kept from the cone-count screen this replaced,
+    whose counts bounded the depth from below: `lower_bound` returns the
+    exact depth, and `invalidate_except` commits the proposal.
     """
 
-    def __init__(self, d: int):
-        self.d = d
-        self._families: dict[int, _ConeFamily] = {}
-
-    def invalidate_except(self, colour: int) -> None:
-        self._families = {c: f for c, f in self._families.items() if c == colour}
+    def __init__(self, config: Configuration):
+        self.table = _MinorTable(config.colours)
 
     def lower_bound(self, classes, colour: int) -> int:
-        family = self._families.get(colour)
-        if family is None:
-            family = _ConeFamily(
-                [classes[c] for c in range(self.d + 1) if c != colour])
-            self._families[colour] = family
-        total = 0
-        for p in classes[colour]:
-            antipode = tuple(-e for e in scale_to_integers(p)[0])
-            if any(antipode):
-                total += family.count_containing(antipode)
-            else:
-                total += len(family.choices)
-        return total
+        depth = self.table.propose(colour, classes[colour])
+        _check_bound(self.table.dimension, depth, classes)
+        return depth
+
+    def invalidate_except(self) -> None:
+        self.table.commit()
 
 
 def comparison_constants(d: int) -> dict[str, int]:
@@ -160,7 +159,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
         points = [list(cls) for cls in config.colours]
         depth = _checked_depth(config)
         history.append((r, 0, depth))
-        screen = _ProposalScreen(d)
+        screen = _ProposalScreen(config)
         iteration = 0
         rejected = 0
         while rejected < steps:
@@ -178,18 +177,18 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
                 # pull the origin back as the mean of the class
                 candidate[colour][d] = tuple(
                     -sum(p[k] for p in candidate[colour][:d]) for k in range(d))
-            if screen.lower_bound(candidate, colour) >= depth:
+            trial_depth = screen.lower_bound(candidate, colour)
+            if trial_depth >= depth:
                 rejected += 1
                 continue
             trial = Configuration(d, tuple(tuple(cls) for cls in candidate))
-            trial_depth = _checked_depth(trial)
-            if trial_depth < depth:
-                points = candidate
-                depth = trial_depth
-                history.append((r, iteration, depth))
-                screen.invalidate_except(colour)
-            else:
-                rejected += 1
+            if _checked_depth(trial) != trial_depth:
+                raise AssertionError(
+                    f"incremental depth {trial_depth} disagrees with colourful_depth")
+            points = candidate
+            depth = trial_depth
+            history.append((r, iteration, depth))
+            screen.invalidate_except()
         if best_depth is None or depth < best_depth:
             best_depth = depth
             best_config = Configuration(d, tuple(tuple(cls) for cls in points))

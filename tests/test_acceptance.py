@@ -99,6 +99,26 @@ def test_criterion_2_theorem_bound(theorem_corpus):
     assert time.monotonic() - start < 120
 
 
+def test_validate_hull_verdicts_match_lp_on_theorem_corpus(theorem_corpus):
+    # validate decides its hull tests by cofactor signs (d+1 points) and one
+    # determinant (d points); recompute its two hull flags by the LP alone
+    from csdepth.depth import _origin_weights
+    from csdepth.exactgeom import scale_to_integers
+
+    def lp(points):
+        ints = [scale_to_integers(p)[0] for p in points]
+        return _origin_weights(ints, (1,) * len(ints)) is not None
+
+    for d, items in theorem_corpus.items():
+        for config, _ in items:
+            report = validate(config)
+            in_core = all(lp(cls) for cls in config.colours)
+            interior = in_core and not any(
+                lp(cls[:drop] + cls[drop + 1:])
+                for cls in config.colours for drop in range(d + 1))
+            assert (report.zero_in_core, report.zero_interior) == (in_core, interior)
+
+
 def test_criterion_3_witness_construction(theorem_corpus):
     fallbacks = 0
     staged = 0

@@ -212,6 +212,42 @@ class TestVerify:
         doc = run_json(capsys, "verify", str(path))
         assert doc["result"]["passed"] is True
 
+    def _depth_check(self, capsys, path):
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        doc = json.loads(out)
+        check = next(c for c in doc["result"]["checks"] if c["name"] == "depth_lower_bounds")
+        return code, doc["result"]["passed"], check
+
+    def test_literature_range_in_detail(self, tmp_path, capsys):
+        path = write_config(tmp_path, capsys)
+        code, passed, check = self._depth_check(capsys, path)
+        assert code == 0 and passed and check["passed"]
+        assert check["detail"].endswith("; general position: minimum 5, maximum 9")
+
+    def test_planted_depths_outside_literature_range_fail(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # d = 2: depth 4 meets floor((d+2)^2/4) = 4 and 2d = 4 but not the
+        # general-position minimum d^2+1 = 5; depth 10 exceeds d^(d+1)+1 = 9
+        import csdepth.cli as cli_mod
+        from csdepth.depth import DepthReport
+
+        path = write_config(tmp_path, capsys)
+        for planted in (4, 10):
+            monkeypatch.setattr(cli_mod, "colourful_depth",
+                                lambda config, k=planted: DepthReport(k, ()))
+            code, passed, check = self._depth_check(capsys, path)
+            assert code == 1 and not passed and not check["passed"]
+            assert check["detail"].startswith(f"depth {planted}, bounds 4 and 4;")
+
+    def test_literature_range_skipped_off_general_position(self, tmp_path, capsys):
+        sym = {"d": 2, "colours": [
+            [["1", "0"], ["0", "1"], ["-1", "-1"]]] * 3}
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps(sym))
+        code, passed, check = self._depth_check(capsys, path)
+        assert code == 0 and passed
+        assert "general position" not in check["detail"]
+
 
 class TestExitCodes:
     def test_violation_branch_exits_1(self, capsys, monkeypatch):

@@ -155,3 +155,30 @@ class TestFindCrossPosition:
         pair_points = [(config.point(c, z), config.point(c, w))
                        for (z, w), c in zip(found.pairs, found.colour_set)]
         assert is_deformed_cross_position(pair_points).covered
+
+
+class TestFamilyHyperplanes:
+    """The exhaustive search reads its arrangement from the cone family's
+    facet rows (and the span normals of its dependent cones); that must be
+    the arrangement `facet_hyperplanes` builds from the same cones."""
+
+    @pytest.mark.parametrize("d, seed", [(2, 3), (3, 5), (4, 7)])
+    def test_matches_facet_hyperplanes(self, d, seed):
+        from csdepth import facet_hyperplanes
+        from csdepth.arrangement import _span_hyperplanes
+        from csdepth.depth import _ConeFamily
+
+        config = random_configuration(d, seed)
+        colours = [list(cls) for cls in config.colours]
+        # plant dependent cones between every two of colours 0, 1, 2: a
+        # repeated point, a parallel one and an antiparallel one
+        colours[1][0] = colours[0][0]
+        colours[2][1] = tuple(3 * e for e in colours[1][1])
+        colours[2][0] = tuple(-2 * e for e in colours[0][2])
+        for subset in itertools.combinations(range(d + 1), d):
+            classes = [colours[c] for c in subset]
+            family = _ConeFamily(classes)
+            cones = [ConeSpec(tuple(classes[i][j] for i, j in enumerate(choice)))
+                     for choice in family.choices]
+            assert any(c.facet_rows is None for c in cones)
+            assert _span_hyperplanes(family.cones, d) == facet_hyperplanes(cones)

@@ -108,6 +108,55 @@ class TestOriginInHull:
         assert outcomes[True] > 50 and outcomes[False] > 50
 
 
+class TestOriginInHullFastPath:
+    """d+1 points in dimension d are decided by cofactor signs and d points
+    by one determinant; both must agree with the exact LP on every input,
+    planted degeneracies included."""
+
+    @staticmethod
+    def _lp(points):
+        from csdepth.depth import _origin_weights
+        from csdepth.exactgeom import scale_to_integers
+
+        ints = [scale_to_integers(p)[0] for p in points]
+        return _origin_weights(ints, (1,) * len(ints)) is not None
+
+    @staticmethod
+    def _plant(rng, pts, d):
+        kind = rng.choice(["origin", "collinear", "repeat", "line", "none"])
+        order = rng.sample(range(len(pts)), len(pts))
+        a, b, c = order[0], order[-1], order[len(order) // 2]
+        if kind == "origin":
+            pts[a] = (Fraction(0),) * d
+        elif kind == "collinear" and len(pts) >= 3:
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            pts[c] = tuple(x + t * (y - x) for x, y in zip(pts[a], pts[b]))
+        elif kind == "repeat":
+            pts[b] = pts[a]
+        elif kind == "line":
+            # every point on one line through the origin
+            direction = pts[0]
+            pts[:] = [tuple(Fraction(rng.randint(-3, 3)) * e for e in direction)
+                      for _ in pts]
+        return kind
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extra", [1, 0])
+    def test_agrees_with_lp(self, d, extra):
+        rng = random.Random(1000 * d + extra)
+        outcomes = {True: 0, False: 0}
+        kinds = set()
+        for trial in range(400):
+            pts = [random_rational_point(rng, d, span=4, den=3) for _ in range(d + extra)]
+            if trial % 2:
+                kinds.add(self._plant(rng, pts, d))
+            want = self._lp(pts)
+            assert origin_in_convex_hull(pts) == want, pts
+            outcomes[want] += 1
+        assert outcomes[True] > 10 and outcomes[False] > 10
+        assert {"origin", "repeat", "line"} <= kinds
+
+
 class TestConeContains:
     def test_positive_quadrant(self):
         cone = ConeSpec((fp(1, 0), fp(0, 1)))
