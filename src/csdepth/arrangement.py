@@ -7,19 +7,27 @@ full-dimensional cell therefore implies coverage of all of space (the cones
 are closed and the open cells are dense), which turns the continuous
 covering question into a finite, exactly decidable one.
 
-Cells are enumerated breadth-first over wall-crossing adjacency.  Flipping
-sign j of a cell gives a cell exactly when the other signs are those of a
-wall on hyperplane j, i.e. of a cell of the arrangement restricted to H_j.
-Those are enumerated by the same procedure one dimension lower, in integer
-coordinates of H_j, down to dimension 1; a flip is then a table lookup, and
-the neighbour's witness is the wall point pushed off H_j by an exact
-integer step.  No LP, floating point, perturbation or symbolic
-infinitesimals are involved, and every witness is re-checked strictly.
+Cells are enumerated breadth-first over wall-crossing adjacency, sign
+vectors first.  Flipping sign j of a cell gives a cell exactly when the
+other signs are those of a wall on hyperplane j, i.e. of a cell of the
+arrangement restricted to H_j.  Those are enumerated by the same procedure
+one dimension lower, in integer coordinates of H_j, down to dimension 1, and
+kept as sign keys alone; a flip is then a table lookup.  The loop yields
+each cell's sign vector and the hyperplane crossed to reach it, and an
+exact integer witness is built only for a cell that is output: the wall
+table of that one hyperplane is rebuilt with points, and the wall point is
+pushed off H_j by an exact integer step.  No LP, floating point,
+perturbation or symbolic infinitesimals are involved, and every witness
+that leaves this module is re-checked strictly.
 
-Cones are read in the integer form `ConeSpec` computes once.  An uncovered
-family's witness is an exact integer point of its first uncovered cell,
-found without an LP: the cell's own witness, or, when that lies in a
-degenerate cone, a seeded point of the cell off every degenerate span.
+`covers_space` reads each cell's cone from its sign vector: a cone with
+independent generators is the side of each of its d facet hyperplanes that
+it lies on, so a cell lies in it iff the cell's signs agree on those d
+hyperplanes.  Cones are read in the integer form `ConeSpec` computes once.
+An uncovered family's witness is an exact integer point of its first
+uncovered cell, found without an LP: the cell's own witness, or, when that
+lies in a degenerate cone, a seeded point of the cell off every degenerate
+span.
 
 Exact coverage is supported for dimension <= 4 by default; the cell count
 grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
@@ -36,7 +44,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .depth import ConeSpec, _cone_contains_ints, cone_contains
+from .depth import ConeSpec, SignVector, _cone_masks, _side_masks, cone_contains
 from .errors import InputError
 from .exactgeom import (
     IntVec,
@@ -48,10 +56,10 @@ from .exactgeom import (
     vec_dot,
 )
 
-SignVector = tuple[int, ...]
-
 _GENERIC_SEED = 0x1D8A  # fixed: cell enumeration is a deterministic function of its input
 _MAX_DEFAULT_DIMENSION = 4
+# per dimension: the seeded generator and the (bound, offset) draws made so far
+_GENERIC_DRAWS: dict[int, tuple[random.Random, list[tuple[int, IntVec]]]] = {}
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,8 @@ def facet_hyperplanes(cones: Sequence[ConeSpec]) -> tuple[CentralHyperplane, ...
 def _span_hyperplanes(int_cones: Sequence[tuple[Sequence[IntVec], Optional[Sequence[IntVec]]]],
                       d: int) -> tuple[CentralHyperplane, ...]:
     """`facet_hyperplanes` of cones given in integer form: (generators,
-    `cone_facet_rows` of them or None) pairs."""
+    normals) pairs, the normals those of spans of d-1 of the generators (such
+    as `cone_facet_rows`), or None to compute them."""
     seen: set[IntVec] = set()
     for gens, normals in int_cones:
         if normals is None:
@@ -133,23 +142,28 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
     Offsets v with coordinates in [-bound, bound] are drawn, bound doubling
     per try.  Given an integer point w, x = m*w + v with m = 1 + bound*reach:
     when reach >= ||n||_1 for every hyperplane n of w's cell, then
-    |n.v| < m <= |m n.w|, so x stays in that open cell.
+    |n.v| < m <= |m n.w|, so x stays in that open cell.  The offsets of each
+    dimension are one seeded sequence, drawn once and replayed.
     """
-    rng = random.Random(_GENERIC_SEED)
-    bound = 64
+    rng, draws = _GENERIC_DRAWS.setdefault(d, (random.Random(_GENERIC_SEED), []))
+    k = 0
     while True:
-        x = tuple(rng.randint(-bound, bound) for _ in range(d))
+        if k == len(draws):
+            bound = 64 << k
+            draws.append((bound, tuple(rng.randint(-bound, bound) for _ in range(d))))
+        bound, x = draws[k]
         if w is not None:
             x = tuple((1 + bound * reach) * a + b for a, b in zip(w, x))
         dots = [vec_dot(n, x) for n in normals]
         if all(dots):
             return x, tuple(1 if t > 0 else -1 for t in dots)
-        bound *= 2
+        k += 1
 
 
-def _walls(normals: Sequence[IntVec], j: int) -> dict[SignVector, IntVec]:
-    """One point of every wall on hyperplane j, keyed by the signs of the
-    other hyperplanes there.
+def _walls(normals: Sequence[IntVec], j: int,
+           pointed: bool) -> dict[SignVector, Optional[IntVec]]:
+    """Every wall on hyperplane j, keyed by the signs of the other
+    hyperplanes there, with one point of it when `pointed` (else None).
 
     The walls are the cells of the arrangement restricted to H_j.  With p a
     nonzero coordinate of h = normals[j], the integer vectors
@@ -165,18 +179,23 @@ def _walls(normals: Sequence[IntVec], j: int) -> dict[SignVector, IntVec]:
     merged: dict[IntVec, int] = {}
     slots = []
     for n in normals[:j] + normals[j + 1:]:
-        r = tuple(h[p] * n[i] - h[i] * n[p] for i in free)
+        r = tuple([h[p] * n[i] - h[i] * n[p] for i in free])
         if not any(r):
             return {}  # a repeated hyperplane: no wall point avoids it
         slot = merged.setdefault(primitive_normal(r), len(merged))
         slots.append((slot, 1 if next(e for e in r if e) > 0 else -1))
+    restricted = _Arrangement(list(merged), d - 1, pointed)
     table = {}
-    for tau, y in _cells(list(merged), d - 1):
-        wall = [0] * d
-        for i, e in zip(free, y):
-            wall[i] = h[p] * e
-            wall[p] -= h[i] * e
-        table[tuple(s * tau[slot] for slot, s in slots)] = tuple(wall)
+    for tau, k in restricted.cells():
+        wall = None
+        if pointed:
+            y = restricted.point(tau, k)
+            wall = [0] * d
+            for i, e in zip(free, y):
+                wall[i] = h[p] * e
+                wall[p] -= h[i] * e
+            wall = tuple(wall)
+        table[tuple([s * tau[slot] for slot, s in slots])] = wall
     return table
 
 
@@ -203,34 +222,82 @@ def _step_off(normals: Sequence[IntVec], tilt: Sequence[int], cand: SignVector,
     return tuple(e // g for e in x)
 
 
-def _cells(normals: Sequence[IntVec], d: int) -> Iterator[tuple[SignVector, IntVec]]:
-    """`enumerate_cells` over distinct primitive integer normals in dimension
-    d, with integer witnesses.  Sign j of a cell flips to a cell exactly when
-    the other signs form a wall on hyperplane j; the walls of each hyperplane
-    are enumerated on its first flip, by the same recursion one dimension
-    lower, and kept for this call only."""
-    if not normals:
-        yield (), tuple(1 if i == 0 else 0 for i in range(d))
-        return
-    start, start_sigma = _generic_direction(normals, d)
-    walls: dict[int, tuple[dict[SignVector, IntVec], list[int]]] = {}
-    yield start_sigma, start
-    queue = deque([start_sigma])
-    seen = {start_sigma}
-    while queue:
-        sigma = queue.popleft()
-        for j, s in enumerate(sigma):
-            if j not in walls:
-                walls[j] = (_walls(normals, j), [vec_dot(n, normals[j]) for n in normals])
-            table, tilt = walls[j]
-            wall = table.get(sigma[:j] + sigma[j + 1:])
-            if wall is None:
-                continue
-            cand = sigma[:j] + (-s,) + sigma[j + 1:]
-            if cand not in seen:
-                seen.add(cand)
-                queue.append(cand)
-                yield cand, _step_off(normals, tilt, cand, j, wall)
+class _Arrangement:
+    """The full-dimensional cells of the central arrangement of distinct
+    primitive integer normals in dimension d: sign vectors first, exact
+    points on demand.
+
+    `cells` crosses walls breadth-first: sign j of a cell flips to a cell
+    exactly when the other signs form a wall on hyperplane j.  The walls of
+    each hyperplane are found on its first flip, by the same procedure one
+    dimension lower (`_walls`), and kept for this arrangement only; unless
+    `pointed` is set they are sign keys alone, all the way down.  `point`
+    gives the integer point of one cell from the hyperplane j crossed to
+    reach it: it rebuilds the wall table of that j with points (once) and
+    pushes the wall point off H_j (`_step_off`).  The point does not depend
+    on whether the table was pointed from the start, so `pointed` is only
+    for callers that want the point of every cell.
+    """
+
+    def __init__(self, normals: Sequence[IntVec], d: int, pointed: bool = False):
+        self.normals = normals
+        self.dimension = d
+        self.pointed = pointed
+        self._walls: dict[int, dict[SignVector, Optional[IntVec]]] = {}
+        self._tilts: dict[int, list[int]] = {}
+        self._start: Optional[IntVec] = None
+
+    def cells(self) -> Iterator[tuple[SignVector, Optional[int]]]:
+        """Each cell's sign vector once, with the hyperplane crossed to reach
+        it (None for the first cell), breadth-first from a seeded generic
+        cell."""
+        normals = self.normals
+        if not normals:
+            yield (), None
+            return
+        self._start, start_sigma = _generic_direction(normals, self.dimension)
+        yield start_sigma, None
+        queue = deque([start_sigma])
+        seen = {start_sigma}
+        while queue:
+            sigma = queue.popleft()
+            for j, s in enumerate(sigma):
+                table = self._walls.get(j)
+                if table is None:
+                    table = self._walls[j] = _walls(normals, j, self.pointed)
+                if sigma[:j] + sigma[j + 1:] not in table:
+                    continue
+                cand = sigma[:j] + (-s,) + sigma[j + 1:]
+                if cand not in seen:
+                    seen.add(cand)
+                    queue.append(cand)
+                    yield cand, j
+
+    def point(self, sigma: SignVector, j: Optional[int]) -> IntVec:
+        """The integer point of the cell `sigma` that `cells` reached across
+        hyperplane j."""
+        if j is None:
+            if not self.normals:
+                return tuple(1 if i == 0 else 0 for i in range(self.dimension))
+            return self._start
+        key = sigma[:j] + sigma[j + 1:]
+        wall = self._walls[j][key]
+        if wall is None:
+            self._walls[j] = _walls(self.normals, j, True)
+            wall = self._walls[j][key]
+        tilt = self._tilts.get(j)
+        if tilt is None:
+            h = self.normals[j]
+            tilt = self._tilts[j] = [vec_dot(n, h) for n in self.normals]
+        return _step_off(self.normals, tilt, sigma, j, wall)
+
+    def witness(self, sigma: SignVector, j: Optional[int]) -> IntVec:
+        """`point`, re-checked strictly against every hyperplane."""
+        x = self.point(sigma, j)
+        for n, s in zip(self.normals, sigma):
+            if s * vec_dot(n, x) <= 0:
+                raise AssertionError("wall crossing produced a bad witness")
+        return x
 
 
 def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
@@ -241,11 +308,9 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
     if not hyperplanes:
         raise InputError("need at least one hyperplane")
     normals = [h.int_normal() for h in hyperplanes]
-    for sigma, witness in _cells(normals, len(normals[0])):
-        for n, s in zip(normals, sigma):
-            if s * vec_dot(n, witness) <= 0:
-                raise AssertionError("wall crossing produced a bad witness")
-        yield sigma, tuple(Fraction(e) for e in witness)
+    arrangement = _Arrangement(normals, len(normals[0]), pointed=True)
+    for sigma, j in arrangement.cells():
+        yield sigma, tuple(Fraction(e) for e in arrangement.witness(sigma, j))
 
 
 def _verified_uncovered(direction: Point, cones: Sequence[ConeSpec]) -> bool:
@@ -274,10 +339,12 @@ def covers_space(cones: Sequence[ConeSpec], *,
     Covered means every full-dimensional cell of the facet arrangement lies
     inside at least one cone with independent generators (degenerate cones
     never earn coverage credit, though their facets contribute hyperplanes).
-    On failure the uncovered direction is an exact integer point of the
-    first uncovered cell, verified to lie in no cone: the cell's own
-    witness, or, when that lies in a degenerate cone, a point of the same
-    cell found by a seeded integer search (`_uncovered_direction`).
+    Each cell's cone is read from its sign vector, and no cell has a witness
+    built but the one reported: on failure the uncovered direction is an
+    exact integer point of the first uncovered cell, verified to lie in no
+    cone: the cell's own witness, or, when that lies in a degenerate cone, a
+    point of the same cell found by a seeded integer search
+    (`_uncovered_direction`).
     """
     d = _check_cones(cones)
     if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
@@ -286,18 +353,25 @@ def covers_space(cones: Sequence[ConeSpec], *,
             "(cell counts grow combinatorially: expect millions of cells and "
             "hours of work beyond dimension 4)")
     hyperplanes = facet_hyperplanes(cones)
-    full = [(idx, cone) for idx, cone in enumerate(cones) if cone.facet_rows is not None]
+    normals = [h.int_normal() for h in hyperplanes]
+    index = {n: k for k, n in enumerate(normals)}
+    full = [(idx, _cone_masks(cone.int_generators,
+                              [primitive_normal(r) for r in cone.facet_rows], index))
+            for idx, cone in enumerate(cones) if cone.facet_rows is not None]
     if not full:
         return CoverageCertificate(False, 0, hyperplanes,
                                    uncovered_direction=_uncovered_direction(cones))
     mapping: dict[SignVector, int] = {}
     checked = 0
-    for sigma, witness in enumerate_cells(hyperplanes):
+    arrangement = _Arrangement(normals, d)
+    for sigma, j in arrangement.cells():
         checked += 1
-        x = scale_to_integers(witness)[0]
-        hit = next((idx for idx, cone in full
-                    if _cone_contains_ints(cone.int_generators, cone.facet_rows, x)), None)
+        above, below = _side_masks(sigma)
+        hit = next((idx for idx, (pos, neg) in full if not (pos & below or neg & above)),
+                   None)
         if hit is None:
+            x = arrangement.witness(sigma, j)
+            witness = tuple(Fraction(e) for e in x)
             if not _verified_uncovered(witness, cones):
                 witness = _uncovered_direction(cones, x, hyperplanes)
             return CoverageCertificate(False, checked, hyperplanes,

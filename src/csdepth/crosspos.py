@@ -11,9 +11,13 @@ in at most d-1 cones, each colour still has at least two points generating
 no cone through x; pairing one such point per colour with a generator of a
 cone through x yields a family whose coverage is then certified exactly.
 Candidate directions come, in order, from the antipodes of all configuration
-points, from exact interior witnesses of the facet-arrangement cells
-(exhaustively for d <= 3, where the cell count stays small), and from seeded
-random directions.
+points, from the cells of the family's facet arrangement (exhaustively for
+d <= 3, where the cell count stays small), and from seeded random
+directions.  The cone count of a candidate is read from its sign vector over
+the family's shared facet normals (`_ConeFamily`): a cell has it from the
+enumeration, a point gets it from one dot product per normal.  A cell's
+exact witness is built only when it is output as the search direction, or
+when dependent cones, which are tested on points, need it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arrangement import CoverageCertificate, _span_hyperplanes, covers_space, enumerate_cells
+from .arrangement import CoverageCertificate, _Arrangement, covers_space
 from .configuration import Configuration, validate
 from .depth import ConeSpec, _ConeFamily
 from .errors import InputError
@@ -90,11 +94,15 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
 
 
 def _candidate_directions(config: Configuration, family: _ConeFamily,
-                          seed: int, exhaustive: bool):
-    """Nonzero integer candidate directions in deterministic priority order:
-    antipodes of all configuration points, then cell witnesses of the full
-    cone family's facet arrangement (exhaustive mode, hyperplanes read from
-    the family's facet rows), then random draws."""
+                          cells: Optional[_Arrangement], seed: int):
+    """Candidate directions in deterministic priority order, as (integer
+    point, sign vector, hyperplane crossed): antipodes of all configuration
+    points, then every cell of the family's facet arrangement when `cells`
+    holds it, then random draws.  Antipodes and draws are nonzero points,
+    distinct up to positive scaling, with no sign vector.  A cell comes as
+    its sign vector and the hyperplane `cells` crossed to reach it; its
+    point is built only when dependent cones need it, and is None
+    otherwise."""
     d = config.dimension
     emitted: set[IntVec] = set()
 
@@ -110,17 +118,15 @@ def _candidate_directions(config: Configuration, family: _ConeFamily,
     for _, _, p in config.indexed_points():
         x = tuple(-e for e in scale_to_integers(p)[0])
         if fresh(x):
-            yield x
-    if exhaustive:
-        for _, witness in enumerate_cells(_span_hyperplanes(family.cones, d)):
-            x = scale_to_integers(witness)[0]
-            if fresh(x):
-                yield x
+            yield x, None, None
+    if cells is not None:
+        for sigma, j in cells.cells():
+            yield (cells.witness(sigma, j) if family.dependent else None), sigma, j
     rng = random.Random(seed)
     for _ in range(_RANDOM_CANDIDATES):
         x = tuple(rng.getrandbits(20) - (1 << 19) for _ in range(d))
         if fresh(x):
-            yield x
+            yield x, None, None
 
 
 def find_cross_position(config: Configuration, colours: Sequence[int], *,
@@ -150,11 +156,12 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
         exhaustive = d <= 3
 
     family = _ConeFamily([config.colours[c] for c in subset])
+    cells = _Arrangement(family.normals, d, pointed=family.dependent) if exhaustive else None
     best = len(family.choices) + 1
     tried = 0
-    for x in _candidate_directions(config, family, seed, exhaustive):
+    for x, sigma, crossed in _candidate_directions(config, family, cells, seed):
         tried += 1
-        hits = family.containing(x)
+        hits = family.containing(x, sigma)
         best = min(best, len(hits))
         if not 1 <= len(hits) <= d - 1:
             continue
@@ -173,6 +180,8 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
             pair_points.append((cls[z], cls[w]))
         certificate = is_deformed_cross_position(pair_points)
         if certificate.covered:
+            if x is None:
+                x = cells.witness(sigma, crossed)
             return CrossPosition(
                 colour_set=subset,
                 pairs=tuple(pairs),

@@ -34,10 +34,13 @@ from .exactgeom import (
     is_zero_vec,
     max_slack_point,
     normal_to_span,
+    primitive_normal,
     scale_to_integers,
     vec_dot,
     vec_neg,
 )
+
+SignVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -349,24 +352,98 @@ def _check_colour_subset(config: Configuration, colours: Sequence[int]) -> tuple
     return subset
 
 
+def _side_masks(signs: Sequence[int]) -> tuple[int, int]:
+    """Bit masks of the hyperplanes with positive and with negative sign in
+    `signs`; a zero sign is in neither."""
+    above = below = 0
+    for k, s in enumerate(signs):
+        if s > 0:
+            above |= 1 << k
+        elif s < 0:
+            below |= 1 << k
+    return above, below
+
+
+def _cone_masks(gens: Sequence[IntVec], prims: Sequence[Optional[IntVec]],
+                index: dict[IntVec, int]) -> Optional[tuple[int, int]]:
+    """A cone of d generators as bit masks (pos, neg) of the hyperplanes it
+    lies on the closed positive and negative side of, or None when the
+    generators are dependent.  prims[i] is the primitive normal to every
+    generator but gens[i] (None when those do not span a hyperplane), and
+    `index` gives its position; the cone is on the side of gens[i].  A point
+    with side masks (above, below) lies in the cone iff neither
+    pos & below nor neg & above."""
+    pos = neg = 0
+    for g, n in zip(gens, prims):
+        side = vec_dot(n, g) if n is not None else 0
+        if side == 0:
+            return None
+        if side > 0:
+            pos |= 1 << index[n]
+        else:
+            neg |= 1 << index[n]
+    return pos, neg
+
+
 class _ConeFamily:
-    """All one-point-per-colour cones over given colour classes, in integer
-    form for fast repeated membership tests: `cones` holds, per choice in
-    `choices`, the scaled generators and their `cone_facet_rows`."""
+    """All one-point-per-colour cones over given colour classes, as one table
+    read by sign vectors.
+
+    The facet hyperplane of a cone opposite its colour-i generator is spanned
+    by its points of the other d-1 colours, so the family has
+    d·(d+1)^(d-1) shared cofactor normals, one per such choice of points.
+    `normals` holds their distinct primitive forms, sorted: the family's
+    facet arrangement, which `cones` (per choice in `choices`, the scaled
+    generators and their d shared normals, None where the other generators
+    span no hyperplane) also gives through `arrangement._span_hyperplanes`.  An independent cone is the side of each
+    of its d hyperplanes that it lies on (`_cone_masks`); a dependent one
+    keeps only its generators and is tested on a materialized point.
+    """
 
     def __init__(self, classes: Sequence[Sequence[Point]]):
-        self.dimension = len(classes)
-        class_ints = [[scale_to_integers(p)[0] for p in cls] for cls in classes]
+        d = len(classes)
+        ints = [[scale_to_integers(p)[0] for p in cls] for cls in classes]
         self.choices = list(itertools.product(*[range(len(cls)) for cls in classes]))
+        shared = []  # shared[i][rest]: normal to points `rest` of the colours != i
+        for i in range(d):
+            others = ints[:i] + ints[i + 1:]
+            shared.append({rest: normal_to_span([others[a][j] for a, j in enumerate(rest)], d)
+                           for rest in itertools.product(*[range(len(c)) for c in others])})
+        prim = {n: primitive_normal(n) for table in shared for n in table.values()
+                if n is not None}
+        self.normals = sorted(set(prim.values()))
+        index = {n: k for k, n in enumerate(self.normals)}
         self.cones = []
+        self._masks = []
         for choice in self.choices:
-            gens = [class_ints[i][j] for i, j in enumerate(choice)]
-            self.cones.append((gens, cone_facet_rows(gens)))
+            gens = [ints[i][j] for i, j in enumerate(choice)]
+            spans = [shared[i][choice[:i] + choice[i + 1:]] for i in range(d)]
+            self.cones.append((gens, spans))
+            self._masks.append(_cone_masks(gens, [prim.get(n) for n in spans], index))
+        self.dependent = any(m is None for m in self._masks)
 
-    def containing(self, x: IntVec) -> list[tuple[int, ...]]:
-        """Choices whose cones contain x, in lexicographic order."""
-        return [choice for choice, (gens, rows) in zip(self.choices, self.cones)
-                if _cone_contains_ints(gens, rows, x)]
+    def signs(self, x: IntVec) -> SignVector:
+        """The sign of x against each of `normals` (0 on the hyperplane)."""
+        out = []
+        for n in self.normals:
+            t = vec_dot(n, x)
+            out.append((t > 0) - (t < 0))
+        return tuple(out)
+
+    def containing(self, x: Optional[IntVec],
+                   signs: Optional[SignVector] = None) -> list[tuple[int, ...]]:
+        """Choices whose closed cones contain the point x, in lexicographic
+        order.  `signs` are x's `signs`, computed when not given; x itself is
+        read only by dependent cones, and may be None when there are none."""
+        above, below = _side_masks(self.signs(x) if signs is None else signs)
+        out = []
+        for choice, masks, (gens, _) in zip(self.choices, self._masks, self.cones):
+            if masks is None:
+                if _cone_contains_ints(gens, None, x):
+                    out.append(choice)
+            elif not (masks[0] & below or masks[1] & above):
+                out.append(choice)
+        return out
 
     def count_containing(self, x: IntVec) -> int:
         return len(self.containing(x))

@@ -137,18 +137,12 @@ def normal_to_span(vectors: Sequence[IntVec], dimension: int) -> Optional[IntVec
 
 def primitive_normal(vec: IntVec) -> IntVec:
     """Divide out the content and make the first nonzero entry positive."""
-    g = 0
-    for e in vec:
-        g = gcd(g, abs(e))
+    g = gcd(*vec)
     if g == 0:
         raise InputError("zero vector has no primitive form")
-    scaled = [e // g for e in vec]
-    for e in scaled:
-        if e != 0:
-            if e < 0:
-                scaled = [-x for x in scaled]
-            break
-    return tuple(scaled)
+    if next(e for e in vec if e) < 0:
+        g = -g
+    return tuple([e // g for e in vec])
 
 
 def kernel_vector(vectors: Sequence[IntVec], dimension: int) -> Optional[IntVec]:

@@ -27,6 +27,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .configuration import (
     Configuration,
@@ -103,8 +104,10 @@ def _check_bound(d: int, depth: int, colours) -> None:
             counterexample=json.dumps(configuration_to_json_dict(config)))
 
 
-def _checked_depth(config: Configuration) -> int:
-    depth = colourful_depth(config).depth
+def _checked_depth(config: Configuration, table: Optional[_MinorTable] = None) -> int:
+    """The colourful depth of config, read from its minor table when given
+    and counted by `colourful_depth` otherwise, checked against the bound."""
+    depth = colourful_depth(config).depth if table is None else table.depth
     _check_bound(config.dimension, depth, config.colours)
     return depth
 
@@ -157,9 +160,9 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
         config = random_configuration(d, child_seed)
         rng = random.Random(child_seed ^ 0x9E3779B9)
         points = [list(cls) for cls in config.colours]
-        depth = _checked_depth(config)
-        history.append((r, 0, depth))
         screen = _ProposalScreen(config)
+        depth = _checked_depth(config, screen.table)
+        history.append((r, 0, depth))
         iteration = 0
         rejected = 0
         while rejected < steps:

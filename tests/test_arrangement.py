@@ -458,3 +458,79 @@ class TestMonteCarloRefuter:
                 assert found is None
             if found is not None:
                 assert not cert.covered
+
+
+def eager_covers_space(cones):
+    """`covers_space` as it was decided when every cell carried a witness:
+    each witness of `enumerate_cells` tested against every full cone with
+    `cone_contains`, and the first uncovered one repaired by
+    `_uncovered_direction` when it lies in a dependent cone."""
+    from csdepth.arrangement import CoverageCertificate, _uncovered_direction
+    from csdepth.exactgeom import scale_to_integers
+
+    hyperplanes = facet_hyperplanes(cones)
+    full = [(idx, c) for idx, c in enumerate(cones) if c.facet_rows is not None]
+    if not full:
+        return CoverageCertificate(False, 0, hyperplanes,
+                                   uncovered_direction=_uncovered_direction(cones))
+    mapping = {}
+    for checked, (sigma, w) in enumerate(enumerate_cells(hyperplanes), 1):
+        hit = next((idx for idx, c in full if cone_contains(c, w)), None)
+        if hit is None:
+            if any(cone_contains(c, w) for c in cones):
+                w = _uncovered_direction(cones, scale_to_integers(w)[0], hyperplanes)
+            return CoverageCertificate(False, checked, hyperplanes, uncovered_direction=w)
+        mapping[sigma] = hit
+    return CoverageCertificate(True, len(mapping), hyperplanes, per_cell_cone=mapping)
+
+
+def planted_pair_family(rng, d, near_share):
+    """The 2^d colourful cones of d seeded pairs, in binary choice order.
+    A share `near_share` of the families start from the cross-polytope (8 e_i, -8 e_i), each
+    point moved by small integers with probability 1/(2d-2), so many are covered
+    and the cell counts stay small at d = 4; one point is then often replaced by
+    a positive or negative multiple of a point of another colour (repeated,
+    parallel or antiparallel generators: dependent cones)."""
+    near_cross = rng.random() < near_share
+    pairs = []
+    for i in range(d):
+        pair = []
+        for s in (8, -8):
+            while True:
+                if near_cross:
+                    moved = rng.random() < 1 / (2 * d - 2)
+                    p = [rng.randint(-3, 3) if moved else 0 for _ in range(d)]
+                    p[i] += s
+                else:
+                    p = [rng.randint(-3, 3) for _ in range(d)]
+                if any(p):
+                    break
+            pair.append(p)
+        pairs.append(pair)
+    plant = rng.choice((None, 1, 2, -3))
+    if plant is not None:
+        i, k = rng.sample(range(d), 2)
+        pairs[k][rng.randrange(2)] = [plant * e for e in pairs[i][rng.randrange(2)]]
+    return [ConeSpec(tuple(fp(*pairs[i][bits[i]]) for i in range(d)))
+            for bits in itertools.product((0, 1), repeat=d)]
+
+
+class TestSignFirstCoverage:
+    """`covers_space` reads each cell's cone from its sign vector and builds
+    a witness only for the uncovered cell it reports; every field of its
+    certificate must equal the eager witness-per-cell decision."""
+
+    # at d = 4 random pairs give up to 32 hyperplanes and 5,500 cells, which
+    # the eager reference takes seconds to enumerate: only near-cross there
+    @pytest.mark.parametrize("d, families, seed, near_share",
+                             [(2, 160, 81, 0.5), (3, 110, 82, 0.5), (4, 40, 83, 1.0)])
+    def test_matches_eager_reference(self, d, families, seed, near_share):
+        rng = random.Random(seed)
+        seen = {"covered": 0, "uncovered": 0, "dependent": 0}
+        for _ in range(families):
+            cones = planted_pair_family(rng, d, near_share)
+            cert = covers_space(cones)
+            assert cert == eager_covers_space(cones)
+            seen["covered" if cert.covered else "uncovered"] += 1
+            seen["dependent"] += any(c.facet_rows is None for c in cones)
+        assert min(seen.values()) >= families // 10, seen

@@ -182,3 +182,83 @@ class TestFamilyHyperplanes:
                      for choice in family.choices]
             assert any(c.facet_rows is None for c in cones)
             assert _span_hyperplanes(family.cones, d) == facet_hyperplanes(cones)
+
+
+class TestFamilyMembershipBySigns:
+    """`_ConeFamily.containing` reads membership from sign vectors over the
+    family's shared normals (a zero sign counts as inside) and tests only
+    dependent cones on a point; it must agree with `cone_contains` on every
+    cone, and `d_depth` with the count of those cones."""
+
+    # colours of the point replaced, and of the point it repeats or scales
+    PLANTS = {"none": None, "repeat": (1, 0, 1), "parallel": (2, 1, 3),
+              "antiparallel": (2, 0, -2)}
+
+    @classmethod
+    def planted_config(cls, d, seed, plant):
+        colours = [list(points) for points in random_configuration(d, seed).colours]
+        if cls.PLANTS[plant] is not None:
+            target, source, factor = cls.PLANTS[plant]
+            colours[target][0] = tuple(factor * e for e in colours[source][1])
+        return Configuration(d, tuple(tuple(points) for points in colours))
+
+    @staticmethod
+    def reference(family, cones, x):
+        return [choice for choice, cone in zip(family.choices, cones) if cone_contains(cone, x)]
+
+    @pytest.mark.parametrize("d, seed", [(2, 11), (3, 12), (4, 13)])
+    @pytest.mark.parametrize("plant", ["none", "repeat", "parallel", "antiparallel"])
+    def test_matches_cone_contains(self, d, seed, plant):
+        import random
+
+        from csdepth import CentralHyperplane, d_depth, enumerate_cells
+        from csdepth.depth import _ConeFamily
+        from csdepth.exactgeom import scale_to_integers
+
+        config = self.planted_config(d, seed, plant)
+        planted = set(self.PLANTS[plant][:2]) if plant != "none" else set()
+        subsets = list(itertools.combinations(range(d + 1), d))
+        planted_subset = next(s for s in subsets if planted <= set(s))
+        if d == 3:  # the two subsets with colours 1 and 2
+            subsets = [subsets[0], subsets[-1]]
+        elif d == 4:  # 625 cones, and an LP per dependent one and point
+            subsets = [planted_subset]
+        rng = random.Random(seed)
+        zero_signs = 0
+        for subset in subsets:
+            classes = [config.colours[c] for c in subset]
+            family = _ConeFamily(classes)
+            cones = [ConeSpec(tuple(classes[i][j] for i, j in enumerate(choice)))
+                     for choice in family.choices]
+            assert family.dependent == (bool(planted) and planted <= set(subset))
+            # antipodes of the family's points lie on facet hyperplanes, and
+            # small integer draws often do: their signs have zeros
+            points = [tuple(-e for e in p) for cls in classes for p in cls]
+            points += [tuple(Fraction(rng.randint(-2, 2)) for _ in range(d)) for _ in range(8)]
+            for k, x in enumerate(points):
+                if not any(x):
+                    continue
+                ints = scale_to_integers(x)[0]
+                want = self.reference(family, cones, x)
+                zero_signs += 0 in family.signs(ints)
+                assert family.containing(ints) == want
+                if k % d == 0:  # d_depth builds its own family: a sample
+                    assert d_depth(config, subset, x) == len(want)
+        assert zero_signs > 0
+
+        # cell witnesses, read by their sign vectors, on the family of the
+        # first two points per colour (the planted ones among them): every
+        # cell at d <= 3; at d = 4 its 32 hyperplanes take seconds to
+        # enumerate with points, so only the first cell
+        classes = [config.colours[c][:2] for c in planted_subset]
+        family = _ConeFamily(classes)
+        assert family.dependent == bool(planted)
+        cones = [ConeSpec(tuple(classes[i][j] for i, j in enumerate(choice)))
+                 for choice in family.choices]
+        hyperplanes = [CentralHyperplane(tuple(Fraction(e) for e in n))
+                       for n in family.normals]
+        for sigma, w in itertools.islice(enumerate_cells(hyperplanes), 1 if d == 4 else None):
+            want = self.reference(family, cones, w)
+            assert family.containing(scale_to_integers(w)[0], sigma) == want
+            if not family.dependent:
+                assert family.containing(None, sigma) == want

@@ -1,6 +1,7 @@
 """`validate` and `colourful_depth` read shared d×d minors; these properties
 check both against references that compute no minors: `Fraction`
-determinants of the points as given, and the LP hull test per transversal.
+determinants of the points as given, and one exact LP per transversal
+(`depth._origin_weights`), which shares no sign rule with the minor table.
 
 Coordinates have mixed denominators, so the per-point integer scale factors
 differ, and some draws plant a degeneracy (a repeated point, or a point on
@@ -16,10 +17,11 @@ from csdepth import (
     Configuration,
     colourful_depth,
     enumerate_transversals,
-    origin_in_convex_hull,
     transversal_points,
     validate,
 )
+from csdepth.depth import _origin_weights
+from csdepth.exactgeom import scale_to_integers
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -76,9 +78,16 @@ def check_validate(config: Configuration):
     assert validate(config) is report
 
 
+def lp_contains_origin(points) -> bool:
+    """Closed containment of the origin in the hull of the points, by exact
+    feasibility of convex weights alone."""
+    scaled = [scale_to_integers(p)[0] for p in points]
+    return _origin_weights(scaled, (1,) * len(scaled)) is not None
+
+
 def check_depth(config: Configuration):
     expected = [choice for choice in enumerate_transversals(config)
-                if origin_in_convex_hull(transversal_points(config, choice))]
+                if lp_contains_origin(transversal_points(config, choice))]
     report = colourful_depth(config)
     assert report.depth == len(expected)
     assert [choice for choice, _ in report.witnesses] == expected

@@ -203,3 +203,115 @@ class TestGoldenSearchDigests:
         report = minimize_depth(d, restarts, steps, seed)
         payload = json.dumps(report.to_json_dict(), separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def perturbed_cross_polytope(seed: int, covered: bool):
+    """The pairs (e_i, -e_i) in d = 4, with one point of each of two colours
+    moved by at most 19/97 per coordinate, which keeps the 16 cones
+    covering space.  The uncovered variant first sets colour 0's second
+    point to its first, and keeps every move's x0 component nonnegative, so
+    every cone lies in x0 >= 0."""
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    d = 4
+    pairs = [[tuple(Fraction(s if k == i else 0) for k in range(d)) for s in (1, -1)]
+             for i in range(d)]
+    if not covered:
+        pairs[0][1] = pairs[0][0]
+    for colour in rng.sample(range(d), 2):
+        side = rng.randrange(2)
+        move = [Fraction(rng.choice([v for v in range(-19, 20) if v]), 97) for _ in range(d)]
+        if not covered:
+            move[0] = abs(move[0])
+        pairs[colour][side] = tuple(a + b for a, b in zip(pairs[colour][side], move))
+    return pairs
+
+
+def uncovered_witness_family(d: int, seed: int):
+    """The family of `test_arrangement.TestUncoveredWitnessSearch`: seeded
+    pair cones whose first cell no full cone contains, plus the rank-1 cone
+    through that cell's witness."""
+    import random
+
+    from test_arrangement import random_pair_cones, solve_columns
+
+    from csdepth import ConeSpec, cone_contains, enumerate_cells, facet_hyperplanes
+
+    rng = random.Random(seed)
+    while True:
+        cones, _ = random_pair_cones(rng, d)
+        full = [c for c in cones if solve_columns(c.generators, (1,) * d)[0] != 0]
+        _, w = next(iter(enumerate_cells(facet_hyperplanes(cones))))
+        if not any(cone_contains(c, w) for c in full):
+            return cones + [ConeSpec(tuple(tuple(k * e for e in w) for k in range(1, d + 1)))]
+
+
+class TestGoldenCrossDigests:
+    """sha256 of the compact JSON of `cross` and `cross-check` results
+    (`find_cross_position(...)`, `is_deformed_cross_position(...)` and
+    `covers_space(...)`, each `.to_json_dict()`), as recorded when every
+    arrangement cell carried its witness: reading cone membership from sign
+    vectors and building witnesses on demand must not change a byte."""
+
+    @staticmethod
+    def digest(result) -> str:
+        import hashlib
+        import json
+
+        payload = json.dumps(result.to_json_dict(), separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    @pytest.mark.parametrize("config, colours, digest", [
+        # an exhaustive d = 3 search over all 1834 candidates, which fails
+        pytest.param(lambda: random_configuration(3, 100), (0, 1, 2),
+                     "c8196eb5e8995569e7699406338adea8c46e926b818773813e4d3c423db0c99d",
+                     id="exhaustive-failure"),
+        pytest.param(lambda: minimize_depth(3, 2, 150, 19).best_config, (0, 1, 2),
+                     "ee6835cfa00f964ca47b6f6ecad0d76fcd70cff74431f1608d30ca4a21c26e01",
+                     id="found-at-antipode"),
+        # its witness is built on demand
+        pytest.param(lambda: minimize_depth(3, 1, 60, 19).best_config, (0, 1, 3),
+                     "31d18e5767c19e779c8fe188446c6c73b0e71be49a09208c8a79e07af006e258",
+                     id="found-at-cell"),
+    ])
+    def test_cross(self, config, colours, digest):
+        from csdepth import find_cross_position
+
+        assert self.digest(find_cross_position(config(), colours)) == digest
+
+    def test_cross_found_at_a_cell(self):
+        from csdepth import CrossPosition, find_cross_position
+        from csdepth.exactgeom import primitive_normal, scale_to_integers
+
+        config = minimize_depth(3, 1, 60, 19).best_config
+        found = find_cross_position(config, (0, 1, 3))
+        assert isinstance(found, CrossPosition)
+        antipodes = {primitive_normal(tuple(-e for e in scale_to_integers(p)[0]))
+                     for _, _, p in config.indexed_points()}
+        assert primitive_normal(scale_to_integers(found.direction)[0]) not in antipodes
+
+    @pytest.mark.parametrize("seed, covered, digest", [
+        (1, True, "14e02f45a2844165b8e4d6bae4d70db41e97d44edc56395ee3b3612a6e713d9b"),
+        (2, True, "2c4be8620efc2dcd40aaac32281c8295d2f2c5f040f83ccd2bd6294510138f50"),
+        (3, False, "51ba517a35d806a08246d71cdf42683bfeb9786a4f4040db9ba5cffdb499dec6"),
+        (4, False, "9b182cd76f5149a8c236b2ce5ee8e16ada66c8eb951b757e930c9638bcf0100c"),
+    ])
+    def test_cross_check(self, seed, covered, digest):
+        from csdepth import is_deformed_cross_position
+
+        cert = is_deformed_cross_position(perturbed_cross_polytope(seed, covered))
+        assert cert.covered == covered
+        assert self.digest(cert) == digest
+
+    @pytest.mark.parametrize("d, seed, digest", [
+        (3, 71, "45f3ab0425047dd4686475e7f401081d66ecd502d4e18e7a34825370f7fc21f9"),
+        (4, 72, "b2ca01834b108a44ec945a2cad708dd087ee4d1f2ed98408bd9a937bf60e5a66"),
+    ])
+    def test_uncovered_witness_with_dependent_cone(self, d, seed, digest):
+        from csdepth import covers_space
+
+        cert = covers_space(uncovered_witness_family(d, seed))
+        assert not cert.covered
+        assert self.digest(cert) == digest
