@@ -20,14 +20,14 @@ pushed off H_j by an exact integer step.  No LP, floating point,
 perturbation or symbolic infinitesimals are involved, and every witness
 that leaves this module is re-checked strictly.
 
-`covers_space` reads each cell's cone from its sign vector: a cone with
-independent generators is the side of each of its d facet hyperplanes that
-it lies on, so a cell lies in it iff the cell's signs agree on those d
-hyperplanes.  Cones are read in the integer form `ConeSpec` computes once.
-An uncovered family's witness is an exact integer point of its first
-uncovered cell, found without an LP: the cell's own witness, or, when that
-lies in a degenerate cone, a seeded point of the cell off every degenerate
-span.
+The cones are read through one table, `depth._ConeFamily`, whose shared
+normals are the facet hyperplanes.  `covers_space` reads each cell's cone
+from its sign vector there: a cone with independent generators is the side
+of each of its d facet hyperplanes that it lies on, so a cell lies in it iff
+the cell's signs agree on those d hyperplanes.  An uncovered family's
+witness is an exact integer point of its first uncovered cell, found
+without an LP: the cell's own witness, or, when that lies in a degenerate
+cone, a seeded point of the cell off every degenerate span.
 
 Exact coverage is supported for dimension <= 4 by default; the cell count
 grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
@@ -44,13 +44,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .depth import ConeSpec, SignVector, _cone_masks, _side_masks, cone_contains
+from .depth import ConeSpec, SignVector, _ConeFamily, cone_contains
 from .errors import InputError
 from .exactgeom import (
     IntVec,
     Point,
     kernel_vector,
-    normal_to_span,
     primitive_normal,
     scale_to_integers,
     vec_dot,
@@ -64,20 +63,16 @@ _GENERIC_DRAWS: dict[int, tuple[random.Random, list[tuple[int, IntVec]]]] = {}
 
 @dataclass(frozen=True)
 class CentralHyperplane:
-    """Hyperplane through the origin, held as a canonical integer normal:
-    primitive, first nonzero entry positive."""
+    """Hyperplane through the origin, given by any nonzero rational normal and
+    held as the canonical integer one: primitive, first nonzero entry positive."""
 
-    normal: Point
+    normal: IntVec
 
     def __post_init__(self):
         ints, _ = scale_to_integers(self.normal)
         if all(e == 0 for e in ints):
             raise InputError("hyperplane normal must be nonzero")
-        canon = primitive_normal(ints)
-        object.__setattr__(self, "normal", tuple(Fraction(e) for e in canon))
-
-    def int_normal(self) -> IntVec:
-        return tuple(int(e) for e in self.normal)
+        object.__setattr__(self, "normal", primitive_normal(ints))
 
 
 @dataclass(frozen=True)
@@ -118,21 +113,8 @@ def facet_hyperplanes(cones: Sequence[ConeSpec]) -> tuple[CentralHyperplane, ...
     """Deduplicated hyperplanes spanned by the (d-1)-subsets of each cone's
     generators, in canonical sorted order: an independent cone's facet rows,
     a dependent cone's normals of those subsets that span a (d-1)-space."""
-    d = _check_cones(cones)
-    return _span_hyperplanes([(c.int_generators, c.facet_rows) for c in cones], d)
-
-
-def _span_hyperplanes(int_cones: Sequence[tuple[Sequence[IntVec], Optional[Sequence[IntVec]]]],
-                      d: int) -> tuple[CentralHyperplane, ...]:
-    """`facet_hyperplanes` of cones given in integer form: (generators,
-    normals) pairs, the normals those of spans of d-1 of the generators (such
-    as `cone_facet_rows`), or None to compute them."""
-    seen: set[IntVec] = set()
-    for gens, normals in int_cones:
-        if normals is None:
-            normals = [normal_to_span([*gens[:i], *gens[i + 1:]], d) for i in range(d)]
-        seen.update(primitive_normal(n) for n in normals if n is not None)
-    return tuple(CentralHyperplane(tuple(Fraction(e) for e in n)) for n in sorted(seen))
+    _check_cones(cones)
+    return tuple(CentralHyperplane(n) for n in _ConeFamily.of_cones(cones).normals)
 
 
 def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = None,
@@ -145,7 +127,9 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
     |n.v| < m <= |m n.w|, so x stays in that open cell.  The offsets of each
     dimension are one seeded sequence, drawn once and replayed.
     """
-    rng, draws = _GENERIC_DRAWS.setdefault(d, (random.Random(_GENERIC_SEED), []))
+    if d not in _GENERIC_DRAWS:
+        _GENERIC_DRAWS[d] = random.Random(_GENERIC_SEED), []
+    rng, draws = _GENERIC_DRAWS[d]
     k = 0
     while True:
         if k == len(draws):
@@ -307,7 +291,7 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
     initial generic cell."""
     if not hyperplanes:
         raise InputError("need at least one hyperplane")
-    normals = [h.int_normal() for h in hyperplanes]
+    normals = [h.normal for h in hyperplanes]
     arrangement = _Arrangement(normals, len(normals[0]), pointed=True)
     for sigma, j in arrangement.cells():
         yield sigma, tuple(Fraction(e) for e in arrangement.witness(sigma, j))
@@ -325,7 +309,7 @@ def _uncovered_direction(cones: Sequence[ConeSpec], w: Optional[IntVec] = None,
     a point of it off one kernel normal per dependent cone will do."""
     d = cones[0].dimension
     spans = [kernel_vector(c.int_generators, d) for c in cones if c.facet_rows is None]
-    reach = max((sum(abs(e) for e in h.int_normal()) for h in hyperplanes), default=0)
+    reach = max((sum(abs(e) for e in h.normal) for h in hyperplanes), default=0)
     direction = tuple(Fraction(e) for e in _generic_direction(spans, d, w, reach)[0])
     if not _verified_uncovered(direction, cones):
         raise AssertionError("a direction off every degenerate span lies in a cone")
@@ -352,23 +336,17 @@ def covers_space(cones: Sequence[ConeSpec], *,
             f"exact coverage in dimension {d} needs allow_high_dimension=True "
             "(cell counts grow combinatorially: expect millions of cells and "
             "hours of work beyond dimension 4)")
-    hyperplanes = facet_hyperplanes(cones)
-    normals = [h.int_normal() for h in hyperplanes]
-    index = {n: k for k, n in enumerate(normals)}
-    full = [(idx, _cone_masks(cone.int_generators,
-                              [primitive_normal(r) for r in cone.facet_rows], index))
-            for idx, cone in enumerate(cones) if cone.facet_rows is not None]
-    if not full:
+    family = _ConeFamily.of_cones(cones)
+    hyperplanes = tuple(CentralHyperplane(n) for n in family.normals)
+    if all(cone.facet_rows is None for cone in cones):
         return CoverageCertificate(False, 0, hyperplanes,
                                    uncovered_direction=_uncovered_direction(cones))
     mapping: dict[SignVector, int] = {}
     checked = 0
-    arrangement = _Arrangement(normals, d)
+    arrangement = _Arrangement(family.normals, d)
     for sigma, j in arrangement.cells():
         checked += 1
-        above, below = _side_masks(sigma)
-        hit = next((idx for idx, (pos, neg) in full if not (pos & below or neg & above)),
-                   None)
+        hit = family.first_independent(sigma)
         if hit is None:
             x = arrangement.witness(sigma, j)
             witness = tuple(Fraction(e) for e in x)

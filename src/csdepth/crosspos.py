@@ -3,7 +3,8 @@
 A family of two points in each of d colours is in deformed cross position
 when the 2^d one-point-per-colour cones cover space, like the vertices of a
 cross-polytope after deformation.  The decision delegates to the exact
-arrangement engine.
+arrangement engine, `covers_space`, which reads the 2^d cones through the
+same cone table, `depth._ConeFamily`, as the search below.
 
 The constructive search hunts for a direction x contained in few cones of
 the full one-point-per-colour family on a d-subset of colours.  Once x lies
@@ -17,7 +18,8 @@ directions.  The cone count of a candidate is read from its sign vector over
 the family's shared facet normals (`_ConeFamily`): a cell has it from the
 enumeration, a point gets it from one dot product per normal.  A cell's
 exact witness is built only when it is output as the search direction, or
-when dependent cones, which are tested on points, need it.
+when dependent cones, which are tested on points, need it.  The colour
+subset is checked as `d_depth` checks it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 from .arrangement import CoverageCertificate, _Arrangement, covers_space
 from .configuration import Configuration, validate
-from .depth import ConeSpec, _ConeFamily
+from .depth import ConeSpec, _check_colour_subset, _ConeFamily
 from .errors import InputError
 from .exactgeom import IntVec, Point, is_zero_vec, primitive_normal, scale_to_integers
 
@@ -144,10 +146,7 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     all directions is at least d.
     """
     d = config.dimension
-    subset = tuple(colours)
-    if len(subset) != d or len(set(subset)) != d or \
-            not all(0 <= c <= d for c in subset):
-        raise InputError(f"need {d} distinct colours in range 0..{d}, got {subset}")
+    subset = _check_colour_subset(config, colours)
     report = validate(config)
     if not report.zero_interior:
         raise InputError("configuration must contain the origin strictly inside "

@@ -364,63 +364,77 @@ def _side_masks(signs: Sequence[int]) -> tuple[int, int]:
     return above, below
 
 
-def _cone_masks(gens: Sequence[IntVec], prims: Sequence[Optional[IntVec]],
-                index: dict[IntVec, int]) -> Optional[tuple[int, int]]:
-    """A cone of d generators as bit masks (pos, neg) of the hyperplanes it
-    lies on the closed positive and negative side of, or None when the
-    generators are dependent.  prims[i] is the primitive normal to every
-    generator but gens[i] (None when those do not span a hyperplane), and
-    `index` gives its position; the cone is on the side of gens[i].  A point
-    with side masks (above, below) lies in the cone iff neither
-    pos & below nor neg & above."""
-    pos = neg = 0
-    for g, n in zip(gens, prims):
-        side = vec_dot(n, g) if n is not None else 0
-        if side == 0:
-            return None
-        if side > 0:
-            pos |= 1 << index[n]
-        else:
-            neg |= 1 << index[n]
-    return pos, neg
-
-
 class _ConeFamily:
-    """All one-point-per-colour cones over given colour classes, as one table
-    read by sign vectors.
+    """Cones of d generators each, as one table read by sign vectors.
 
-    The facet hyperplane of a cone opposite its colour-i generator is spanned
-    by its points of the other d-1 colours, so the family has
-    d·(d+1)^(d-1) shared cofactor normals, one per such choice of points.
-    `normals` holds their distinct primitive forms, sorted: the family's
-    facet arrangement, which `cones` (per choice in `choices`, the scaled
-    generators and their d shared normals, None where the other generators
-    span no hyperplane) also gives through `arrangement._span_hyperplanes`.  An independent cone is the side of each
-    of its d hyperplanes that it lies on (`_cone_masks`); a dependent one
-    keeps only its generators and is tested on a materialized point.
+    `normals` holds the distinct primitive normals, sorted, to the spans of
+    d-1 generators of each cone: the family's facet arrangement, as
+    `arrangement.facet_hyperplanes` gives it.  An independent cone is the
+    side of each of its d hyperplanes that it lies on, kept as bit masks
+    (pos, neg) over `normals`: a point with `_side_masks` (above, below)
+    lies in it iff neither pos & below nor neg & above.  A dependent cone
+    keeps only its `generators` and is tested on a point.
+
+    `_ConeFamily(classes)` holds the one-point-per-colour cones over colour
+    classes, in the lexicographic order of their `choices`.  The facet
+    opposite a cone's colour-i point is spanned by its points of the other
+    colours, so cones share normals, one per choice of those points.
+    `_ConeFamily.of_cones` holds given `ConeSpec`s, choices their positions.
     """
 
     def __init__(self, classes: Sequence[Sequence[Point]]):
         d = len(classes)
         ints = [[scale_to_integers(p)[0] for p in cls] for cls in classes]
-        self.choices = list(itertools.product(*[range(len(cls)) for cls in classes]))
-        shared = []  # shared[i][rest]: normal to points `rest` of the colours != i
+        shared = []  # shared[i][rest]: primitive normal to points `rest` of the colours != i
         for i in range(d):
             others = ints[:i] + ints[i + 1:]
-            shared.append({rest: normal_to_span([others[a][j] for a, j in enumerate(rest)], d)
-                           for rest in itertools.product(*[range(len(c)) for c in others])})
-        prim = {n: primitive_normal(n) for table in shared for n in table.values()
-                if n is not None}
-        self.normals = sorted(set(prim.values()))
+            table = {}
+            for rest in itertools.product(*[range(len(c)) for c in others]):
+                n = normal_to_span([others[a][j] for a, j in enumerate(rest)], d)
+                table[rest] = None if n is None else primitive_normal(n)
+            shared.append(table)
+        choices = list(itertools.product(*[range(len(cls)) for cls in classes]))
+        self._tabulate(choices, [([ints[i][j] for i, j in enumerate(choice)],
+                                  [shared[i][choice[:i] + choice[i + 1:]] for i in range(d)])
+                                 for choice in choices])
+
+    @classmethod
+    def of_cones(cls, cones: Sequence[ConeSpec]) -> "_ConeFamily":
+        """The family of cones of one dimension d: the hyperplanes of a cone
+        are its facet rows, or the spans of d-1 of its generators if none."""
+        d = cones[0].dimension
+        tabled = []
+        for cone in cones:
+            gens = cone.int_generators
+            spans = cone.facet_rows or [normal_to_span([*gens[:i], *gens[i + 1:]], d)
+                                        for i in range(d)]
+            tabled.append((gens, [None if n is None else primitive_normal(n) for n in spans]))
+        family = cls.__new__(cls)
+        family._tabulate(range(len(cones)), tabled)
+        return family
+
+    def _tabulate(self, choices: Sequence,
+                  cones: Sequence[tuple[Sequence[IntVec], Sequence[Optional[IntVec]]]]):
+        """Fill the table from each choice's cone: its integer generators and,
+        per generator, the primitive normal to the others (None if no span)."""
+        self.choices = list(choices)
+        self.generators = [gens for gens, _ in cones]
+        self.normals = sorted({n for _, prims in cones for n in prims if n is not None})
         index = {n: k for k, n in enumerate(self.normals)}
-        self.cones = []
         self._masks = []
-        for choice in self.choices:
-            gens = [ints[i][j] for i, j in enumerate(choice)]
-            spans = [shared[i][choice[:i] + choice[i + 1:]] for i in range(d)]
-            self.cones.append((gens, spans))
-            self._masks.append(_cone_masks(gens, [prim.get(n) for n in spans], index))
-        self.dependent = any(m is None for m in self._masks)
+        for gens, prims in cones:
+            pos = neg = 0
+            for g, n in zip(gens, prims):
+                side = 0 if n is None else vec_dot(n, g)
+                if side == 0:
+                    pos = None
+                    break
+                if side > 0:
+                    pos |= 1 << index[n]
+                else:
+                    neg |= 1 << index[n]
+            self._masks.append(None if pos is None else (pos, neg))
+        self.dependent = None in self._masks
 
     def signs(self, x: IntVec) -> SignVector:
         """The sign of x against each of `normals` (0 on the hyperplane)."""
@@ -431,13 +445,13 @@ class _ConeFamily:
         return tuple(out)
 
     def containing(self, x: Optional[IntVec],
-                   signs: Optional[SignVector] = None) -> list[tuple[int, ...]]:
-        """Choices whose closed cones contain the point x, in lexicographic
-        order.  `signs` are x's `signs`, computed when not given; x itself is
-        read only by dependent cones, and may be None when there are none."""
+                   signs: Optional[SignVector] = None) -> list:
+        """Choices whose closed cones contain the point x, in order.  `signs`
+        are x's `signs`, computed when not given; x itself is read only by
+        dependent cones, and may be None when there are none."""
         above, below = _side_masks(self.signs(x) if signs is None else signs)
         out = []
-        for choice, masks, (gens, _) in zip(self.choices, self._masks, self.cones):
+        for choice, masks, gens in zip(self.choices, self._masks, self.generators):
             if masks is None:
                 if _cone_contains_ints(gens, None, x):
                     out.append(choice)
@@ -447,6 +461,16 @@ class _ConeFamily:
 
     def count_containing(self, x: IntVec) -> int:
         return len(self.containing(x))
+
+    def first_independent(self, signs: SignVector):
+        """The first choice whose cone has independent generators and
+        contains the points of the given signs, or None.  Dependent cones
+        are skipped, so no point is needed."""
+        above, below = _side_masks(signs)
+        for choice, masks in zip(self.choices, self._masks):
+            if masks is not None and not (masks[0] & below or masks[1] & above):
+                return choice
+        return None
 
 
 def d_depth(config: Configuration, colours: Sequence[int], x: Point) -> int:

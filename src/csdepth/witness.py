@@ -17,7 +17,6 @@ every configuration with the origin in its core.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -30,9 +29,9 @@ from .configuration import (
     validate,
 )
 from .crosspos import CrossPosition, CrossSearchFailure, find_cross_position
-from .depth import colourful_depth, cone_contains, ConeSpec, simplex_contains_origin
+from .depth import _ConeFamily, colourful_depth, simplex_contains_origin
 from .errors import InputError, ViolationError
-from .exactgeom import vec_neg
+from .exactgeom import scale_to_integers, vec_neg
 
 
 def theorem_bound(d: int) -> int:
@@ -124,11 +123,11 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
             available = [j for j in range(d + 1) if j not in used[colour]]
             if len(available) < quota:
                 raise AssertionError("earlier stages consumed too many points")
+            family = _ConeFamily([[config.point(c, j) for j in pair]
+                                  for c, pair in zip(found.colour_set, found.pairs)])
             emitted = []
             for v_index in available:
-                apex = vec_neg(config.point(colour, v_index))
-                transversal = _locate_transversal(config, found, colour,
-                                                  v_index, apex)
+                transversal = _locate_transversal(config, found, family, colour, v_index)
                 verdict, _ = simplex_contains_origin(
                     transversal_points(config, transversal))
                 if not verdict:
@@ -159,21 +158,19 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
 
 
 def _locate_transversal(config: Configuration, position: CrossPosition,
-                        colour: int, v_index: int, apex) -> Transversal:
-    """First cross-position cone (in binary choice order) containing the apex,
-    assembled into a full transversal with the colour-`colour` point."""
-    d = config.dimension
-    for bits in itertools.product((0, 1), repeat=d):
-        gens = []
-        for pos, c in enumerate(position.colour_set):
-            gens.append(config.point(c, position.pairs[pos][bits[pos]]))
-        if cone_contains(ConeSpec(tuple(gens)), apex):
-            choice = [0] * (d + 1)
-            choice[colour] = v_index
-            for pos, c in enumerate(position.colour_set):
-                choice[c] = position.pairs[pos][bits[pos]]
-            return tuple(choice)
-    raise AssertionError("certified cross position left a direction uncovered")
+                        family: _ConeFamily, colour: int, v_index: int) -> Transversal:
+    """First cone of the cross position's pair family (in binary choice
+    order) containing the antipode of point `v_index` of colour `colour`,
+    assembled into a full transversal with that point."""
+    apex = scale_to_integers(vec_neg(config.point(colour, v_index)))[0]
+    hits = family.containing(apex)
+    if not hits:
+        raise AssertionError("certified cross position left a direction uncovered")
+    choice = [0] * (config.dimension + 1)
+    choice[colour] = v_index
+    for c, pair, bit in zip(position.colour_set, position.pairs, hits[0]):
+        choice[c] = pair[bit]
+    return tuple(choice)
 
 
 def verify_witness_set(config: Configuration, ws: WitnessSet) -> bool:

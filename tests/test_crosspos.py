@@ -159,13 +159,12 @@ class TestFindCrossPosition:
 
 class TestFamilyHyperplanes:
     """The exhaustive search reads its arrangement from the cone family's
-    facet rows (and the span normals of its dependent cones); that must be
-    the arrangement `facet_hyperplanes` builds from the same cones."""
+    shared normals (and the span normals of its dependent cones); that must
+    be the arrangement `facet_hyperplanes` builds from the same cones."""
 
     @pytest.mark.parametrize("d, seed", [(2, 3), (3, 5), (4, 7)])
     def test_matches_facet_hyperplanes(self, d, seed):
         from csdepth import facet_hyperplanes
-        from csdepth.arrangement import _span_hyperplanes
         from csdepth.depth import _ConeFamily
 
         config = random_configuration(d, seed)
@@ -181,7 +180,7 @@ class TestFamilyHyperplanes:
             cones = [ConeSpec(tuple(classes[i][j] for i, j in enumerate(choice)))
                      for choice in family.choices]
             assert any(c.facet_rows is None for c in cones)
-            assert _span_hyperplanes(family.cones, d) == facet_hyperplanes(cones)
+            assert family.normals == [h.normal for h in facet_hyperplanes(cones)]
 
 
 class TestFamilyMembershipBySigns:

@@ -110,6 +110,28 @@ class TestGenerateWitnesses:
         assert a.simplices == b.simplices
 
 
+class TestGoldenStagedDigests:
+    """sha256 of the compact JSON of `generate_witnesses(...).to_json_dict()`
+    on configurations that take the staged path at every stage, as recorded
+    when each stage tested its 2^d cross-position cones one `ConeSpec` at a
+    time: the stages' transversals, cross positions and certificates must
+    not depend on how the cones are read."""
+
+    @pytest.mark.parametrize("d, restarts, steps, seed, digest", [
+        (2, 4, 150, 3, "beb83e8dc16b7b6aa0efcb3c9442b6db46e66149f5f99d42d9e0a92594a9d164"),
+        (3, 1, 150, 4, "6d2556e049cc7899e63b79c3b8f39354685fccb9bf8a7b57f2953fe5d734601e"),
+    ])
+    def test_digest(self, d, restarts, steps, seed, digest):
+        import hashlib
+        import json
+
+        config = minimize_depth(d, restarts, steps, seed).best_config
+        ws = generate_witnesses(config, seed=0)
+        assert not any(stage.fallback for stage in ws.stage_log)
+        payload = json.dumps(ws.to_json_dict(), separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
 class TestVerifyWitnessSet:
     def test_round_trip(self):
         config = random_configuration(2, 4)
