@@ -12,10 +12,16 @@ detected (the counterexample is dumped); 2 invalid input or usage.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Optional, Sequence
+
+try:
+    # the lean builtin module, as `random` does for sha512: hashlib loads
+    # OpenSSL, about 4 MB of resident memory in every CLI process
+    from _sha256 import sha256
+except ImportError:  # CPython 3.12 renamed it
+    from hashlib import sha256
 
 from . import __version__
 from .configuration import (
@@ -47,7 +53,7 @@ def _emit(command: str, inputs: list[str], seed: Optional[int],
         "seed": seed,
         "flags": flags,
         "version": __version__,
-        "output_digest": "sha256:" + hashlib.sha256(payload.encode()).hexdigest(),
+        "output_digest": "sha256:" + sha256(payload.encode()).hexdigest(),
     }
     sys.stdout.write(_canonical({"manifest": manifest, "result": result}) + "\n")
     sys.stderr.write(summary + "\n")

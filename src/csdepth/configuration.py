@@ -20,11 +20,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator
+from math import comb, gcd
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ParseError
 from .exactgeom import (
+    IntVec,
     Point,
     point_from_strings,
     point_to_strings,
@@ -170,14 +172,124 @@ def transversal_points(config: Configuration, choice: Transversal) -> tuple[Poin
 
 
 def check_validation_budget(d: int, allow_high_dimension: bool = False) -> None:
-    """Refuse, before any work, a validation whose minor table would not fit:
-    it holds C((d+1)^2, d) minors, about 14 million at d = 6."""
+    """Refuse, before any work, a validation that would run for minutes or
+    hours: the general-position sweep visits all C((d+1)^2, d) d-subsets of
+    the points, about 14 million at d = 6."""
     if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
         raise InputError(
             f"validation in dimension {d} needs allow_high_dimension=True "
-            f"(the minor table holds C({(d + 1) ** 2},{d}) = {comb((d + 1) ** 2, d):,} "
-            "minors: expect most of a gigabyte of memory and hours of work beyond "
-            "dimension 5)")
+            f"(the general-position sweep visits C({(d + 1) ** 2},{d}) = "
+            f"{comb((d + 1) ** 2, d):,} subsets of {d} points, plus up to "
+            f"C({(d + 1) ** 2},{d + 1}) = {comb((d + 1) ** 2, d + 1):,} determinants "
+            "where points are degenerate: about three minutes in general position "
+            "in dimension 6, and hours beyond)")
+
+
+def _origin_in_core(config: Configuration, allow_high_dimension: bool = False
+                    ) -> tuple[bool, bool]:
+    """(zero_in_core, zero_interior) of `validate`, from (d+1)(d+2) hull
+    tests; cached on the configuration object.  Refused beyond dimension 5
+    exactly as `validate` is, so the callers that need only these two flags
+    (the staged witnesses and the cross-position search) keep its budget."""
+    cached = config.__dict__.get("_core")
+    if cached is not None:
+        return cached
+    check_validation_budget(config.dimension, allow_high_dimension)
+    from .depth import origin_in_convex_hull  # local import: depth builds on this module
+
+    zero_in_core = all(origin_in_convex_hull(cls) for cls in config.colours)
+    zero_interior = zero_in_core and not any(
+        origin_in_convex_hull(cls[:drop] + cls[drop + 1:])
+        for cls in config.colours for drop in range(len(cls)))
+    core = (zero_in_core, zero_interior)
+    object.__setattr__(config, "_core", core)
+    return core
+
+
+def _expansion_plans(d: int) -> list[list[tuple[tuple[int, int, int], ...]]]:
+    """Plan k, for each (k+1)-subset of the d+1 columns in `combinations`
+    order, lists the terms (column, rank of the k-subset without it, sign
+    parity) of the Laplace expansion of a (k+1)×(k+1) minor along its last
+    row."""
+    plans = []
+    for k in range(d + 1):
+        rank = {cols: t for t, cols in enumerate(itertools.combinations(range(d + 1), k))}
+        plans.append([tuple((c, rank[cols[:j] + cols[j + 1:]], (k + j) % 2)
+                            for j, c in enumerate(cols))
+                      for cols in itertools.combinations(range(d + 1), k + 1)])
+    return plans
+
+
+def _ray(x: int, y: int) -> Optional[tuple[int, int]]:
+    """The primitive form of (x, y) up to sign, or None for (0, 0)."""
+    g = gcd(x, y)
+    if g == 0:
+        return None
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return x // g, y // g
+
+
+def _dependent_subsets(rows: Sequence[IntVec], d: int
+                       ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The (d+1)-subsets of the rows with zero determinant, and the
+    d-subsets with zero minor on the first d columns, each in lexicographic
+    order.
+
+    A depth-first walk over prefix subsets U in lexicographic order carries
+    the minors of U on every |U|-subset of the d+1 columns; one dot product
+    of a new row with a precomputed expansion vector (`_expansion_plans`)
+    gives each minor of U+i.  At |U| = d-1 the walk decides every subset
+    through U together.  Write N_i[c] for the minor of U+i on the columns
+    other than c: N_i[d] decides the d-subset U+i, and N_i is, up to fixed
+    signs, the normal of the hyperplane spanned by U+i, so U+i+j is
+    dependent exactly when N_i or N_j vanishes or the two are proportional.
+    Proportional normals have proportional coordinates, so if the primitive
+    rays of (N_i[0], N_i[d]) are all nonzero and distinct, no subset through
+    U is affinely dependent.  All N_i are orthogonal to U, so when U spans a
+    (d-1)-space they lie in a plane, and those two coordinates tell them
+    apart unless the minor of U on the other d-1 columns is 0.  Otherwise
+    each U+i+j is decided by its determinant, the dot product of row j with
+    the expansion of N_i."""
+    n = len(rows)
+    plans = _expansion_plans(d)
+    affine: list[tuple[int, ...]] = []
+    linear: list[tuple[int, ...]] = []
+
+    def expansion(terms, minors) -> list[int]:
+        v = [0] * (d + 1)
+        for c, t, odd in terms:
+            v[c] = -minors[t] if odd else minors[t]
+        return v
+
+    def walk(prefix: tuple[int, ...], minors: list[int]) -> None:
+        k = len(prefix)
+        start = prefix[-1] + 1 if prefix else 0
+        if k < d - 1:
+            vectors = [expansion(terms, minors) for terms in plans[k]]
+            for i in range(start, n - d + k + 1):  # leave room for d-k-1 more rows
+                r = rows[i]
+                walk(prefix + (i,), [sum(map(mul, v, r)) for v in vectors])
+            return
+        # plans[k][d - c] expands N_i[c]
+        first, last = expansion(plans[k][d], minors), expansion(plans[k][0], minors)
+        rays = []
+        for i in range(start, n):
+            r = rows[i]
+            y = sum(map(mul, last, r))
+            if y == 0:
+                linear.append(prefix + (i,))
+            rays.append(_ray(sum(map(mul, first, r)), y))
+        if None in rays or len(set(rays)) < len(rays):
+            vectors = [expansion(terms, minors) for terms in plans[k]]
+            for i in range(start, n):
+                r = rows[i]
+                top = expansion(plans[d][0], [sum(map(mul, v, r)) for v in vectors])
+                affine.extend(prefix + (i, j) for j in range(i + 1, n)
+                              if sum(map(mul, top, rows[j])) == 0)
+
+    walk((), [1])
+    return affine, linear
 
 
 def validate(config: Configuration, *,
@@ -195,14 +307,16 @@ def validate(config: Configuration, *,
     origin); failures are listed as point-index subsets, all (d+1)-subsets
     before all d-subsets, each group in lexicographic order.
 
-    The points are tested as given.  Every minor of the configuration's
-    points is computed once, for the length of the call, by Laplace
-    expansion over the minors one size smaller: the d×d minors decide the
-    d-subsets, and the affine determinant of each (d+1)-subset is its
-    expansion along the column of ones into d+1 of them, weighted by the
-    points' scale factors.  The report is cached on the configuration
-    object, so every later call returns the same report without
-    recomputing it.  Beyond dimension 5 the call is refused with
+    The points are tested as given.  The two core flags come from
+    `_origin_in_core`, which callers that need nothing else use alone.  The
+    general-position sweep (`_dependent_subsets`) walks the subsets of d-1
+    points depth first, extending each prefix's minors by one dot product
+    per minor and row; it decides the d-subsets by their minors, and all
+    (d+1)-subsets through one (d-1)-subset at once, from the pencil of
+    hyperplanes through it, computing determinants only where that pencil
+    has a repeated or vanishing normal.  The report is cached on the
+    configuration object, so every later call returns the same report
+    without recomputing it.  Beyond dimension 5 the call is refused with
     `InputError` unless `allow_high_dimension` is set (or the report is
     already cached).
     """
@@ -210,57 +324,20 @@ def validate(config: Configuration, *,
     if cached is not None:
         return cached
     check_validation_budget(config.dimension, allow_high_dimension)
-    from .depth import origin_in_convex_hull  # local import: depth builds on this module
+    zero_in_core, zero_interior = _origin_in_core(config, allow_high_dimension)
 
-    d = config.dimension
-    zero_in_core = all(origin_in_convex_hull(cls) for cls in config.colours)
-    zero_interior = zero_in_core
-    if zero_in_core:
-        for cls in config.colours:
-            for drop in range(d + 1):
-                reduced = cls[:drop] + cls[drop + 1:]
-                if origin_in_convex_hull(reduced):
-                    zero_interior = False
-                    break
-            if not zero_interior:
-                break
-
+    # Row i is point i times its scale factor m_i, followed by m_i.  The
+    # determinant of d+1 rows is det[p_i, 1] of the points as given, and the
+    # minor of d rows on the first d columns is det[p_i], each times the
+    # positive product of their m_i.
     labels = []
     rows = []
     for c, j, p in config.indexed_points():
         v, m = scale_to_integers(p)
         labels.append((c, j))
         rows.append(v + (m,))
-    n = len(rows)
-    # Row i is point i times its scale factor m_i, followed by m_i.  The
-    # k×k minor of a set of rows on their first k columns is the Laplace
-    # expansion along column k-1 over the (k-1)×(k-1) minors, which are
-    # read from a flat list by colex rank: the sorted subset s_0 < s_1 < ...
-    # has rank sum_j C(s_j, j+1).  At k = d the minors are det[m_i p_i], at
-    # k = d+1 they are det[m_i p_i, m_i]: det[p_i] and det[p_i, 1] of the
-    # points as given, times the positive product of their m_i.
-    up = [[comb(s, j + 1) for s in range(n)] for j in range(d + 1)]
-    minors = [1]
-    linear = []
-    for k in range(1, d + 2):
-        level = [0] * comb(n, k) if k <= d else None
-        zeros = []
-        for subset in itertools.combinations(range(n), k):
-            rank = sum(up[j - 1][subset[j]] for j in range(1, k))  # subset - s_0
-            total = 0
-            for j, i in enumerate(subset):
-                term = rows[i][k - 1] * minors[rank]
-                total += term if (j + k - 1) % 2 == 0 else -term
-                if j < k - 1:
-                    rank += up[j][i] - up[j][subset[j + 1]]  # subset - s_(j+1)
-            if level is not None:
-                level[sum(up[j][s] for j, s in enumerate(subset))] = total
-            if total == 0 and k >= d:
-                zeros.append(tuple(labels[i] for i in subset))
-        if k == d:
-            linear = zeros
-        minors = level
-    witnesses = tuple(zeros + linear)
+    affine, linear = _dependent_subsets(rows, config.dimension)
+    witnesses = tuple(tuple(labels[i] for i in subset) for subset in affine + linear)
     report = ValidationReport(
         zero_in_core=zero_in_core,
         zero_interior=zero_interior,

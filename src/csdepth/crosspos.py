@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arrangement import CoverageCertificate, _Arrangement, covers_space
-from .configuration import Configuration, validate
+from .configuration import Configuration, _origin_in_core
 from .depth import ConeSpec, _check_colour_subset, _ConeFamily
 from .errors import InputError
 from .exactgeom import IntVec, Point, is_zero_vec, primitive_normal, scale_to_integers
@@ -147,8 +147,7 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     """
     d = config.dimension
     subset = _check_colour_subset(config, colours)
-    report = validate(config)
-    if not report.zero_interior:
+    if not _origin_in_core(config)[1]:
         raise InputError("configuration must contain the origin strictly inside "
                          "every colour hull")
     if exhaustive is None:

@@ -25,6 +25,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError, ParseError
@@ -64,7 +65,7 @@ def point_to_strings(point: Point) -> list[str]:
 
 
 def vec_dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_neg(a: Point) -> Point:

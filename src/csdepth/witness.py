@@ -24,9 +24,9 @@ from typing import Optional
 from .configuration import (
     Configuration,
     Transversal,
+    _origin_in_core,
     configuration_to_json_dict,
     transversal_points,
-    validate,
 )
 from .crosspos import CrossPosition, CrossSearchFailure, find_cross_position
 from .depth import _ConeFamily, colourful_depth, simplex_contains_origin
@@ -98,14 +98,14 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
     stage's cross-position search fails, the result is the full enumeration.
     """
     d = config.dimension
-    report = validate(config)
-    if not report.zero_in_core:
+    zero_in_core, zero_interior = _origin_in_core(config)
+    if not zero_in_core:
         raise InputError("the origin must lie in the core of the configuration")
     bound = theorem_bound(d)
     stage_log: list[WitnessStage] = []
     simplices: list[Transversal] = []
 
-    staged_ok = report.zero_interior
+    staged_ok = zero_interior
     if staged_ok:
         used: dict[int, set[int]] = {c: set() for c in range(d + 1)}
         for stage_index, quota in enumerate(_stage_quotas(d)):

@@ -1,8 +1,21 @@
 import hashlib
 import json
 
+import pytest
+
+import csdepth.configuration
+import csdepth.depth
+from csdepth import (
+    Configuration,
+    configuration_to_json_dict,
+    find_cross_position,
+    generate_witnesses,
+    random_configuration,
+)
 from csdepth.cli import main
 from csdepth.errors import ViolationError
+
+from helpers import symmetric_example
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +291,69 @@ class TestDeterminism:
         first = run_cli(capsys, "depth", str(path))
         second = run_cli(capsys, "depth", str(path))
         assert first == second
+
+
+def _fail_if_called(what):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{what} started")
+    return fail
+
+
+class TestHighDimensionRefusal:
+    """`witness` and `cross` read only the core flags of `validate`, and
+    keep its refusal of dimension 6: exit 2 before any hull test or the
+    general-position sweep starts."""
+
+    @pytest.fixture
+    def config_d6(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csdepth.depth, "origin_in_convex_hull",
+                            _fail_if_called("a hull test"))
+        monkeypatch.setattr(csdepth.configuration, "_dependent_subsets",
+                            _fail_if_called("the general-position sweep"))
+        cls = [[str(k + 1) if k == i else "1" for k in range(6)] for i in range(7)]
+        path = tmp_path / "d6.json"
+        path.write_text(json.dumps({"d": 6, "colours": [cls] * 7}))
+        return path
+
+    @pytest.mark.parametrize("argv", [["witness"], ["cross", "--colours", "0,1,2,3,4,5"]])
+    def test_exits_2_before_any_work(self, capsys, config_d6, argv):
+        code, out, err = run_cli(capsys, argv[0], str(config_d6), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "validation in dimension 6 needs allow_high_dimension=True" in err
+
+
+class TestSweepCallers:
+    """Which commands run the general-position sweep: `verify` reports the
+    full validation (digests recorded before `witness` and `cross` stopped
+    running the sweep), while `witness` and `cross` never start it."""
+
+    def test_witness_and_cross_skip_the_sweep(self, monkeypatch):
+        # fresh objects: random_configuration caches its validation
+        configs = [Configuration(d, random_configuration(d, seed).colours)
+                   for d, seed in ((2, 5), (3, 1))]
+        monkeypatch.setattr(csdepth.configuration, "_dependent_subsets",
+                            _fail_if_called("the general-position sweep"))
+        for config in configs:
+            d = config.dimension
+            assert len(generate_witnesses(config).simplices) >= (d + 2) ** 2 // 4
+            find_cross_position(config, tuple(range(d)))
+
+    @pytest.mark.parametrize("config, digest", [
+        (symmetric_example,
+         "4bdd0ea08d6bb9ca53ffc853489ae743666389e53a0b04203e0d5b012fdb255a"),
+        (lambda: random_configuration(3, 1),
+         "3615f68e9d79271f39f7d6d5c46a8fae6525ada477db42babdd6252b817c06c2"),
+    ])
+    def test_verify_reports_full_validation(self, tmp_path, capsys, monkeypatch,
+                                            config, digest):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(configuration_to_json_dict(config())))
+        sweeps = []
+        sweep = csdepth.configuration._dependent_subsets
+        monkeypatch.setattr(csdepth.configuration, "_dependent_subsets",
+                            lambda *args: sweeps.append(args) or sweep(*args))
+        result = run_json(capsys, "verify", str(path))
+        assert result["manifest"]["output_digest"] == "sha256:" + digest
+        assert len(sweeps) == 1
+        assert result["result"]["checks"][0]["name"] == "validation"

@@ -8,6 +8,7 @@ differ, and some draws plant a degeneracy (a repeated point, or a point on
 the line through two others)."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -118,3 +119,52 @@ class TestMinorTable:
     @given(configurations(3))
     def test_depth_d3(self, config):
         check_depth(config)
+
+
+def planted_d4(seed: int):
+    """A d = 4 configuration with small random coordinates and three planted
+    degeneracies: five points on the hyperplane x0 + 2*x1 - x3 = 1, a point
+    at the origin, and a repeated point.  Returns the configuration and the
+    planted labels (the five, the origin, the repeated pair)."""
+    rng = random.Random(seed)
+    pts = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+           for _ in range(25)]
+    picks = rng.sample(range(25), 8)
+    for k in picks[:5]:
+        _, x1, x2, x3 = pts[k]
+        pts[k] = (1 - 2 * x1 + x3, x1, x2, x3)
+    pts[picks[5]] = (Fraction(0),) * 4
+    pts[picks[7]] = pts[picks[6]]
+    config = Configuration(4, tuple(tuple(pts[k * 5:(k + 1) * 5]) for k in range(5)))
+    labels = [divmod(k, 5) for k in picks]
+    return config, tuple(sorted(labels[:5])), labels[5], set(labels[6:])
+
+
+class TestPencilSweep:
+    """The general-position sweep decides the (d+1)-subsets through each
+    (d-1)-subset from one set of pencil normals and falls back to
+    determinants only where they repeat or vanish; its witnesses, order
+    included, equal the `Fraction`-determinant reference in dimensions 1
+    and 4, with degeneracies planted to reach that fallback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(configurations(1))
+    def test_validate_d1(self, config):
+        check_validate(config)
+
+    def test_d1_origin_and_repeat(self):
+        config = Configuration(1, (((Fraction(0),), (Fraction(1, 2),)),
+                                   ((Fraction(2, 4),), (Fraction(-1),))))
+        report = validate(config)
+        assert report.degenerate_witnesses == reference_witnesses(config) == (
+            ((0, 1), (1, 0)), ((0, 0),))
+
+    def test_validate_d4_planted(self):
+        # one draw: the reference computes 65,780 Fraction determinants,
+        # about 25 s
+        config, on_plane, origin, repeated = planted_d4(1)
+        witnesses = validate(config).degenerate_witnesses
+        assert witnesses == reference_witnesses(config)
+        assert on_plane in witnesses
+        assert any(len(s) == 5 and repeated <= set(s) for s in witnesses)
+        assert any(len(s) == 4 and origin in s for s in witnesses)
