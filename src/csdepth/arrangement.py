@@ -8,17 +8,20 @@ are closed and the open cells are dense), which turns the continuous
 covering question into a finite, exactly decidable one.
 
 Cells are enumerated breadth-first over wall-crossing adjacency, sign
-vectors first.  Flipping sign j of a cell gives a cell exactly when the
-other signs are those of a wall on hyperplane j, i.e. of a cell of the
-arrangement restricted to H_j.  Those are enumerated by the same procedure
-one dimension lower, in integer coordinates of H_j, down to dimension 1, and
-kept as sign keys alone; a flip is then a table lookup.  The loop yields
-each cell's sign vector and the hyperplane crossed to reach it, and an
-exact integer witness is built only for a cell that is output: the wall
-table of that one hyperplane is rebuilt with points, and the wall point is
-pushed off H_j by an exact integer step.  No LP, floating point,
-perturbation or symbolic infinitesimals are involved, and every witness
-that leaves this module is re-checked strictly.
+vectors first, each held as an int bit mask (bit k set on the positive side
+of hyperplane k).  Flipping bit j of a cell gives a cell exactly when the
+other bits are those of a wall on hyperplane j, i.e. of a cell of the
+arrangement restricted to H_j.  In the plane those walls are the two rays
+of the line, read off in closed form; above it they are enumerated by the
+same procedure one dimension lower, in integer coordinates of H_j, and kept
+as mask keys alone; a flip is then a table lookup.  The loop yields each
+cell's sign vector and the hyperplane crossed to reach it, and an exact
+integer witness is built only for a cell that is output: the wall table of
+that one hyperplane is rebuilt with points, and the wall point is pushed
+off H_j by an exact integer step.  No LP, floating point, perturbation or
+symbolic infinitesimals are involved, and every witness that leaves this
+module is re-checked strictly.  The hyperplanes must be distinct: a
+repeated one leaves no wall point off both copies.
 
 The cones are read through one table, `depth._ConeFamily`, whose shared
 normals are the facet hyperplanes.  `covers_space` reads each cell's cone
@@ -144,33 +147,76 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
         k += 1
 
 
+# The first nonzero generic draw of dimension 1: the start of every
+# one-dimensional restriction, so it scales one ray of each planar wall table.
+_RAY_SCALE = _generic_direction([(1,)], 1)[0][0]
+
+
+def _mask(signs: SignVector) -> int:
+    """The bit mask of a sign vector: bit k set where sign k is positive."""
+    return sum(1 << k for k, s in enumerate(signs) if s > 0)
+
+
 def _walls(normals: Sequence[IntVec], j: int,
-           pointed: bool) -> dict[SignVector, Optional[IntVec]]:
+           pointed: bool) -> dict[int, Optional[IntVec]]:
     """Every wall on hyperplane j, keyed by the signs of the other
-    hyperplanes there, with one point of it when `pointed` (else None).
+    hyperplanes there as a bit mask (bit j clear), with one point of it when
+    `pointed` (else None).  The normals must be distinct.
 
     The walls are the cells of the arrangement restricted to H_j.  With p a
     nonzero coordinate of h = normals[j], the integer vectors
     b_i = h_p e_i - h_i e_p (i != p) span H_j, and hyperplane k restricts to
-    the normal (n_k . b_i)_i.  Restricted normals that coincide up to sign
-    are merged, and each original hyperplane keeps the sign relating it to
-    its merged one.
+    the normal (n_k . b_i)_i.
+
+    In the plane H_j is the line of b, and its walls are the rays b and -b,
+    keyed by one dot product per other line.  Their points are those of the
+    one-dimensional restriction: c b on the ray of sign c and -sign(c) b on
+    the other, c = `_RAY_SCALE` (b alone for a single line).
+
+    In other dimensions the restricted arrangement is enumerated one
+    dimension lower.  Restricted normals that coincide up to sign are merged;
+    each merged slot keeps the bits of the hyperplanes on its positive and
+    on its negative side, and a wall's key is read off per slot from the
+    restricted cell's mask.
     """
     h = normals[j]
     d = len(h)
     p = next(i for i, e in enumerate(h) if e)
     free = [i for i in range(d) if i != p]
+    if d == 2:
+        b = [0, 0]
+        b[free[0]], b[p] = h[p], -h[free[0]]
+        above = 0
+        for k, n in enumerate(normals):
+            if n[0] * b[0] + n[1] * b[1] > 0:
+                above |= 1 << k
+        below = ((1 << len(normals)) - 1) ^ (1 << j) ^ above
+        if not pointed:
+            return {above: None, below: None}
+        if len(normals) == 1:
+            return {0: tuple(b)}
+        c = _RAY_SCALE
+        s = 1 if c > 0 else -1
+        near, far = (above, below) if s > 0 else (below, above)
+        return {near: (c * b[0], c * b[1]), far: (-s * b[0], -s * b[1])}
     merged: dict[IntVec, int] = {}
-    slots = []
-    for n in normals[:j] + normals[j + 1:]:
+    sides: list[list[int]] = []  # per slot: bits on its positive, negative side
+    for k, n in enumerate(normals):
+        if k == j:
+            continue
         r = tuple([h[p] * n[i] - h[i] * n[p] for i in free])
-        if not any(r):
-            return {}  # a repeated hyperplane: no wall point avoids it
         slot = merged.setdefault(primitive_normal(r), len(merged))
-        slots.append((slot, 1 if next(e for e in r if e) > 0 else -1))
+        if slot == len(sides):
+            sides.append([0, 0])
+        sides[slot][next(e for e in r if e) < 0] |= 1 << k
     restricted = _Arrangement(list(merged), d - 1, pointed)
     table = {}
-    for tau, k in restricted.cells():
+    for tau, k in restricted.masks():
+        key = 0
+        t = tau
+        for pos, neg in sides:
+            key |= pos if t & 1 else neg
+            t >>= 1
         wall = None
         if pointed:
             y = restricted.point(tau, k)
@@ -179,20 +225,22 @@ def _walls(normals: Sequence[IntVec], j: int,
                 wall[i] = h[p] * e
                 wall[p] -= h[i] * e
             wall = tuple(wall)
-        table[tuple([s * tau[slot] for slot, s in slots])] = wall
+        table[key] = wall
     return table
 
 
-def _step_off(normals: Sequence[IntVec], tilt: Sequence[int], cand: SignVector,
+def _step_off(normals: Sequence[IntVec], tilt: Sequence[int], cand: int,
               j: int, wall: IntVec) -> IntVec:
-    """Push a wall point of hyperplane j into the cell `cand` on its far side:
-    wall + t * cand[j] * h with t half the smallest distance at which another
-    hyperplane would be reached (t = 1 if none is), scaled to a primitive
-    integer vector.  tilt[k] is n_k . h."""
+    """Push a wall point of hyperplane j into the cell of mask `cand` on its
+    far side: wall + t * s_j * h, s_j the sign that bit j of `cand` gives,
+    with t half the smallest distance at which another hyperplane would be
+    reached (t = 1 if none is), scaled to a primitive integer vector.
+    tilt[k] is n_k . h."""
     h = normals[j]
-    flipped = cand[j]
+    flipped = 1 if cand >> j & 1 else -1
     value = drift = None
-    for n, s, nh in zip(normals, cand, tilt):
+    for k, (n, nh) in enumerate(zip(normals, tilt)):
+        s = 1 if cand >> k & 1 else -1
         dr = -flipped * s * nh  # rate of approach to hyperplane k; < 0 at k = j
         if dr > 0:
             v = s * vec_dot(n, wall)
@@ -211,60 +259,72 @@ class _Arrangement:
     primitive integer normals in dimension d: sign vectors first, exact
     points on demand.
 
-    `cells` crosses walls breadth-first: sign j of a cell flips to a cell
-    exactly when the other signs form a wall on hyperplane j.  The walls of
-    each hyperplane are found on its first flip, by the same procedure one
-    dimension lower (`_walls`), and kept for this arrangement only; unless
-    `pointed` is set they are sign keys alone, all the way down.  `point`
-    gives the integer point of one cell from the hyperplane j crossed to
-    reach it: it rebuilds the wall table of that j with points (once) and
-    pushes the wall point off H_j (`_step_off`).  The point does not depend
-    on whether the table was pointed from the start, so `pointed` is only
-    for callers that want the point of every cell.
+    A cell is held as an int bit mask, bit k set on the positive side of
+    normals[k]; `cells` turns each into a sign vector once, on output.
+    `masks` crosses walls breadth-first: bit j of a cell flips to a cell
+    exactly when the mask with bit j cleared is the key of a wall on
+    hyperplane j.  The walls of each hyperplane are found on its first flip
+    (`_walls`: in closed form in the plane, else by the same procedure one
+    dimension lower), and kept for this arrangement only; unless `pointed`
+    is set they are keys alone, all the way down.  `point` gives the integer
+    point of one cell from the hyperplane j crossed to reach it: it rebuilds
+    the wall table of that j with points (once) and pushes the wall point
+    off H_j (`_step_off`).  The point does not depend on whether the table
+    was pointed from the start, so `pointed` is only for callers that want
+    the point of every cell.
     """
 
     def __init__(self, normals: Sequence[IntVec], d: int, pointed: bool = False):
         self.normals = normals
         self.dimension = d
         self.pointed = pointed
-        self._walls: dict[int, dict[SignVector, Optional[IntVec]]] = {}
+        self._walls: dict[int, dict[int, Optional[IntVec]]] = {}
         self._tilts: dict[int, list[int]] = {}
         self._start: Optional[IntVec] = None
 
-    def cells(self) -> Iterator[tuple[SignVector, Optional[int]]]:
-        """Each cell's sign vector once, with the hyperplane crossed to reach
-        it (None for the first cell), breadth-first from a seeded generic
+    def masks(self) -> Iterator[tuple[int, Optional[int]]]:
+        """Each cell's mask once, with the hyperplane crossed to reach it
+        (None for the first cell), breadth-first from a seeded generic
         cell."""
         normals = self.normals
         if not normals:
-            yield (), None
+            yield 0, None
             return
         self._start, start_sigma = _generic_direction(normals, self.dimension)
-        yield start_sigma, None
-        queue = deque([start_sigma])
-        seen = {start_sigma}
+        start = _mask(start_sigma)
+        yield start, None
+        queue = deque([start])
+        seen = {start}
+        walls = self._walls
+        bits = [1 << j for j in range(len(normals))]
         while queue:
             sigma = queue.popleft()
-            for j, s in enumerate(sigma):
-                table = self._walls.get(j)
+            for j, bit in enumerate(bits):
+                table = walls.get(j)
                 if table is None:
-                    table = self._walls[j] = _walls(normals, j, self.pointed)
-                if sigma[:j] + sigma[j + 1:] not in table:
+                    table = walls[j] = _walls(normals, j, self.pointed)
+                if (sigma & ~bit) not in table:
                     continue
-                cand = sigma[:j] + (-s,) + sigma[j + 1:]
+                cand = sigma ^ bit
                 if cand not in seen:
                     seen.add(cand)
                     queue.append(cand)
                     yield cand, j
 
-    def point(self, sigma: SignVector, j: Optional[int]) -> IntVec:
-        """The integer point of the cell `sigma` that `cells` reached across
-        hyperplane j."""
+    def cells(self) -> Iterator[tuple[SignVector, Optional[int]]]:
+        """`masks` as sign vectors."""
+        m = range(len(self.normals))
+        for sigma, j in self.masks():
+            yield tuple([1 if sigma >> k & 1 else -1 for k in m]), j
+
+    def point(self, sigma: int, j: Optional[int]) -> IntVec:
+        """The integer point of the cell of mask `sigma` that `masks`
+        reached across hyperplane j."""
         if j is None:
             if not self.normals:
                 return tuple(1 if i == 0 else 0 for i in range(self.dimension))
             return self._start
-        key = sigma[:j] + sigma[j + 1:]
+        key = sigma & ~(1 << j)
         wall = self._walls[j][key]
         if wall is None:
             self._walls[j] = _walls(self.normals, j, True)
@@ -276,8 +336,9 @@ class _Arrangement:
         return _step_off(self.normals, tilt, sigma, j, wall)
 
     def witness(self, sigma: SignVector, j: Optional[int]) -> IntVec:
-        """`point`, re-checked strictly against every hyperplane."""
-        x = self.point(sigma, j)
+        """The `point` of the cell of sign vector `sigma`, re-checked
+        strictly against every hyperplane."""
+        x = self.point(_mask(sigma), j)
         for n, s in zip(self.normals, sigma):
             if s * vec_dot(n, x) <= 0:
                 raise AssertionError("wall crossing produced a bad witness")
@@ -288,10 +349,16 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
                     ) -> Iterator[tuple[SignVector, Point]]:
     """Every realizable full-dimensional sign vector exactly once, each with an
     exact interior witness, in breadth-first wall-crossing order from an
-    initial generic cell."""
+    initial generic cell.  A repeated hyperplane is refused."""
     if not hyperplanes:
         raise InputError("need at least one hyperplane")
     normals = [h.normal for h in hyperplanes]
+    first: dict[IntVec, int] = {}
+    for k, n in enumerate(normals):
+        i = first.setdefault(n, k)
+        if i != k:
+            raise InputError(f"hyperplane {k} repeats hyperplane {i} "
+                             f"(normal ({', '.join(str(e) for e in n)}))")
     arrangement = _Arrangement(normals, len(normals[0]), pointed=True)
     for sigma, j in arrangement.cells():
         yield sigma, tuple(Fraction(e) for e in arrangement.witness(sigma, j))

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csdepth import (
     CentralHyperplane,
@@ -534,3 +536,112 @@ class TestSignFirstCoverage:
             seen["covered" if cert.covered else "uncovered"] += 1
             seen["dependent"] += any(c.facet_rows is None for c in cones)
         assert min(seen.values()) >= families // 10, seen
+
+
+class TestRepeatedHyperplanes:
+    """Two equal hyperplanes leave no wall point off both, so no cell could
+    be reached across either: the input is refused, naming the repeat."""
+
+    @pytest.mark.parametrize("normals, message", [
+        ([(1, 0), (2, 0), (0, 1)], r"hyperplane 1 repeats hyperplane 0 \(normal \(1, 0\)\)"),
+        ([(0, 1, 1), (1, 0, 0), (1, 2, 3), (0, -3, -3)],
+         r"hyperplane 3 repeats hyperplane 0 \(normal \(0, 1, 1\)\)"),
+        ([(1,), (-5,)], r"hyperplane 1 repeats hyperplane 0 \(normal \(1\)\)"),
+    ])
+    def test_refused(self, normals, message):
+        with pytest.raises(InputError, match=message):
+            list(enumerate_cells(hyperplanes_of(normals)))
+
+
+def cells_digest(normals):
+    """sha256 of the whole `enumerate_cells` sequence: one line per cell,
+    its signs as +/- and its witness's coordinates."""
+    import hashlib
+
+    lines = ["".join("+" if s > 0 else "-" for s in sigma) + " " + " ".join(map(str, w))
+             for sigma, w in enumerate_cells(hyperplanes_of(normals))]
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+MERGED_D3 = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+MERGED_D4 = [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (1, 0, 1, 2), (0, 0, 0, 1)]
+
+
+class TestGoldenCellDigests:
+    """Digests of every cell's sign vector and witness, in order, as recorded
+    when sign vectors were tuples and planar walls were found by enumerating
+    the line's own one-dimensional arrangement: how cells are held and how a
+    line's walls are found must not change a byte.  The families are
+    `random_normals(random.Random(1000 * d + m), d, m)`, and the merged
+    restrictions of `test_merged_restrictions_match_lp_reference`."""
+
+    @pytest.mark.parametrize("d, m, cells, digest", [
+        (1, 1, 2, "0ae3b94aaa5bbfe5ab2cb1fbebec9310aa6ef75fc2e824c2aa71721b54e85406"),
+        (2, 1, 2, "7430ed68ac6bc70c7df0091f6bf8b8bdbd3fd2c7c6f6a2fb10b965ce68672bd9"),
+        (2, 3, 6, "29bddc8a0d0e61e851d64425e30fd8b34caab0813c9c75145e2e16af8edff017"),
+        (2, 6, 12, "3d0c44f97e10ae805b2f041a1ab4f01da9b73f11244524ab28486695c4dbf8ed"),
+        (2, 9, 18, "955d36817d048e1eebb63c718f47108b8b5cc9aa5a5e05c8211916aca3487dc4"),
+        (3, 1, 2, "56182f3b0364d0a674c95d69b6d16e9f991ca72279f7afac781ee795ad1f5cca"),
+        (3, 4, 12, "5992c5c9fc9a58c92f85b6c75b7f6a5485b5260039c89102ec183790e6f1afa3"),
+        (3, 7, 40, "437308f04155da8a9de498265b28ac7e8820d04af4f61888dc8c2128e9d4b233"),
+        (3, 9, 64, "1846b2e844f6d754aae54907f1b6e2e903164c45ecbb7b4738ec79e0edfc2747"),
+        (3, 14, 176, "c42bf91cc00e8d113133858204499dfd286b179d5972a1e9aa24043847a46dea"),
+        (4, 1, 2, "696237691e59a82bab7315db742e41e6a6e6fa4e5cf4e0cfbcfde844fcbc565e"),
+        (4, 5, 30, "24aec34ae64caabe55e658a979d77dc7f5fffca8bbd1c54a081a08257491e472"),
+        (4, 7, 82, "ecc2b26beab8129ce5e6377200338f0dea8603adc281a49fc4ff02bbf2994289"),
+        (4, 12, 424, "3879e1b33e8b8d75d0bf6f4ecb818992f7bbdd135f5f7b6a03c734b375b23c3d"),
+    ])
+    def test_random_family(self, d, m, cells, digest):
+        normals = random_normals(random.Random(1000 * d + m), d, m)
+        assert cells_digest(normals) == (cells, digest)
+
+    @pytest.mark.parametrize("normals, cells, digest", [
+        (MERGED_D3, 12, "6a37c5106129dda468c2700f77d71a96af9fa93c6a350d27361a2c13e6069888"),
+        (MERGED_D4, 42, "2c240dc64e7b1154f4487112455ba0eb00be66c84a4ddf0b3cb4a936872125d6"),
+    ], ids=["merged-d3", "merged-d4"])
+    def test_merged_family(self, normals, cells, digest):
+        assert cells_digest(normals) == (cells, digest)
+
+
+@st.composite
+def normal_sets(draw, d):
+    """1-9 distinct primitive normals in dimension d.  Each step draws a
+    small integer vector, or, once two normals exist, plants a combination
+    of two of them, so restricting to either merges the others."""
+    coords = st.integers(-4, 4)
+    steps = draw(st.lists(st.tuples(st.tuples(*[coords] * d), st.booleans(),
+                                    st.integers(0, 8), st.integers(0, 8),
+                                    st.sampled_from((1, -1, 2)), st.sampled_from((1, -1, 3))),
+                          min_size=1, max_size=9))
+    normals = []
+    for v, plant, a, b, ca, cb in steps:
+        if plant and len(normals) >= 2:
+            x, y = normals[a % len(normals)], normals[b % len(normals)]
+            v = tuple(ca * e + cb * f for e, f in zip(x, y))
+        if any(v) and primitive_normal(v) not in normals:
+            normals.append(primitive_normal(v))
+    assume(normals)
+    return normals
+
+
+class TestCellsMatchLpReference:
+    """Hypothesis: the cells, in order, are those of breadth-first wall
+    crossing decided by one exact LP per flip, and every witness is strict."""
+
+    @staticmethod
+    def check(normals):
+        cells = list(enumerate_cells(hyperplanes_of(normals)))
+        for sigma, witness in cells:
+            assert all(s * vec_dot(n, witness) > 0 for n, s in zip(normals, sigma))
+        sigmas = [sigma for sigma, _ in cells]
+        assert sigmas == lp_reference_cells(normals, sigmas[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(normal_sets(2))
+    def test_plane(self, normals):
+        self.check(normals)
+
+    @settings(max_examples=50, deadline=None)
+    @given(normal_sets(3))
+    def test_space(self, normals):
+        self.check(normals)
