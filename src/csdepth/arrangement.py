@@ -7,15 +7,16 @@ full-dimensional cell therefore implies coverage of all of space (the cones
 are closed and the open cells are dense), which turns the continuous
 covering question into a finite, exactly decidable one.
 
-Cells are enumerated breadth-first over wall-crossing adjacency, sign
-vectors first, each held as an int bit mask (bit k set on the positive side
-of hyperplane k).  Flipping bit j of a cell gives a cell exactly when the
-other bits are those of a wall on hyperplane j, i.e. of a cell of the
-arrangement restricted to H_j.  In the plane those walls are the two rays
-of the line, read off in closed form; above it they are enumerated by the
-same procedure one dimension lower, in integer coordinates of H_j, and kept
-as mask keys alone; a flip is then a table lookup.  The loop yields each
-cell's sign vector and the hyperplane crossed to reach it, and an exact
+A cell is an int bit mask, bit k set on the positive side of hyperplane k,
+everywhere in the package; only what `enumerate_cells` yields and the keys
+of `per_cell_cone` are sign vectors.  Cells are enumerated breadth-first
+over wall-crossing adjacency.  Flipping bit j of a cell gives a cell exactly
+when the other bits are those of a wall on hyperplane j, i.e. of a cell of
+the arrangement restricted to H_j.  In the plane those walls are the two
+rays of the line, read off in closed form; above it they are enumerated by
+the same procedure one dimension lower, in integer coordinates of H_j, and
+kept as mask keys alone; a flip is then a table lookup.  The loop yields
+each cell's mask and the hyperplane crossed to reach it, and an exact
 integer witness is built only for a cell that is output: the wall table of
 that one hyperplane is rebuilt with points, and the wall point is pushed
 off H_j by an exact integer step.  No LP, floating point, perturbation or
@@ -24,13 +25,13 @@ module is re-checked strictly.  The hyperplanes must be distinct: a
 repeated one leaves no wall point off both copies.
 
 The cones are read through one table, `depth._ConeFamily`, whose shared
-normals are the facet hyperplanes.  `covers_space` reads each cell's cone
-from its sign vector there: a cone with independent generators is the side
-of each of its d facet hyperplanes that it lies on, so a cell lies in it iff
-the cell's signs agree on those d hyperplanes.  An uncovered family's
-witness is an exact integer point of its first uncovered cell, found
-without an LP: the cell's own witness, or, when that lies in a degenerate
-cone, a seeded point of the cell off every degenerate span.
+normals are the facet hyperplanes.  `covers_space` hands it each cell's
+mask: a cone with independent generators is the side of each of its d
+facet hyperplanes that it lies on, so a cell lies in it iff their bits
+agree on those d hyperplanes.  An uncovered family's witness is an exact
+integer point of its first uncovered cell, found without an LP: the cell's
+own witness, or, when that lies in a degenerate cone, a seeded point of the
+cell off every degenerate span.
 
 Exact coverage is supported for dimension <= 4 by default; the cell count
 grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
@@ -47,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .depth import ConeSpec, SignVector, _ConeFamily, cone_contains
+from .depth import ConeSpec, _ConeFamily, cone_contains
 from .errors import InputError
 from .exactgeom import (
     IntVec,
@@ -58,6 +59,7 @@ from .exactgeom import (
     vec_dot,
 )
 
+SignVector = tuple[int, ...]  # a cell as it leaves the package
 _GENERIC_SEED = 0x1D8A  # fixed: cell enumeration is a deterministic function of its input
 _MAX_DEFAULT_DIMENSION = 4
 # per dimension: the seeded generator and the (bound, offset) draws made so far
@@ -121,8 +123,8 @@ def facet_hyperplanes(cones: Sequence[ConeSpec]) -> tuple[CentralHyperplane, ...
 
 
 def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = None,
-                       reach: int = 0) -> tuple[IntVec, SignVector]:
-    """A seeded integer point off every hyperplane in `normals`, with its signs.
+                       reach: int = 0) -> tuple[IntVec, int]:
+    """A seeded integer point off every hyperplane in `normals`, and its mask.
 
     Offsets v with coordinates in [-bound, bound] are drawn, bound doubling
     per try.  Given an integer point w, x = m*w + v with m = 1 + bound*reach:
@@ -143,7 +145,7 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
             x = tuple((1 + bound * reach) * a + b for a, b in zip(w, x))
         dots = [vec_dot(n, x) for n in normals]
         if all(dots):
-            return x, tuple(1 if t > 0 else -1 for t in dots)
+            return x, sum(1 << i for i, t in enumerate(dots) if t > 0)
         k += 1
 
 
@@ -152,9 +154,9 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
 _RAY_SCALE = _generic_direction([(1,)], 1)[0][0]
 
 
-def _mask(signs: SignVector) -> int:
-    """The bit mask of a sign vector: bit k set where sign k is positive."""
-    return sum(1 << k for k, s in enumerate(signs) if s > 0)
+def _signs(mask: int, m: int) -> SignVector:
+    """The sign vector of the cell of `mask` among m hyperplanes."""
+    return tuple([1 if mask >> k & 1 else -1 for k in range(m)])
 
 
 def _walls(normals: Sequence[IntVec], j: int,
@@ -256,11 +258,9 @@ def _step_off(normals: Sequence[IntVec], tilt: Sequence[int], cand: int,
 
 class _Arrangement:
     """The full-dimensional cells of the central arrangement of distinct
-    primitive integer normals in dimension d: sign vectors first, exact
-    points on demand.
+    primitive integer normals in dimension d: bit masks first (bit k set on
+    the positive side of normals[k]), exact points on demand.
 
-    A cell is held as an int bit mask, bit k set on the positive side of
-    normals[k]; `cells` turns each into a sign vector once, on output.
     `masks` crosses walls breadth-first: bit j of a cell flips to a cell
     exactly when the mask with bit j cleared is the key of a wall on
     hyperplane j.  The walls of each hyperplane are found on its first flip
@@ -290,8 +290,7 @@ class _Arrangement:
         if not normals:
             yield 0, None
             return
-        self._start, start_sigma = _generic_direction(normals, self.dimension)
-        start = _mask(start_sigma)
+        self._start, start = _generic_direction(normals, self.dimension)
         yield start, None
         queue = deque([start])
         seen = {start}
@@ -311,12 +310,6 @@ class _Arrangement:
                     queue.append(cand)
                     yield cand, j
 
-    def cells(self) -> Iterator[tuple[SignVector, Optional[int]]]:
-        """`masks` as sign vectors."""
-        m = range(len(self.normals))
-        for sigma, j in self.masks():
-            yield tuple([1 if sigma >> k & 1 else -1 for k in m]), j
-
     def point(self, sigma: int, j: Optional[int]) -> IntVec:
         """The integer point of the cell of mask `sigma` that `masks`
         reached across hyperplane j."""
@@ -335,11 +328,12 @@ class _Arrangement:
             tilt = self._tilts[j] = [vec_dot(n, h) for n in self.normals]
         return _step_off(self.normals, tilt, sigma, j, wall)
 
-    def witness(self, sigma: SignVector, j: Optional[int]) -> IntVec:
-        """The `point` of the cell of sign vector `sigma`, re-checked
-        strictly against every hyperplane."""
-        x = self.point(_mask(sigma), j)
-        for n, s in zip(self.normals, sigma):
+    def witness(self, sigma: int, j: Optional[int]) -> IntVec:
+        """The `point` of the cell of mask `sigma`, re-checked strictly
+        against every hyperplane."""
+        x = self.point(sigma, j)
+        for k, n in enumerate(self.normals):
+            s = 1 if sigma >> k & 1 else -1
             if s * vec_dot(n, x) <= 0:
                 raise AssertionError("wall crossing produced a bad witness")
         return x
@@ -349,19 +343,24 @@ def enumerate_cells(hyperplanes: Sequence[CentralHyperplane]
                     ) -> Iterator[tuple[SignVector, Point]]:
     """Every realizable full-dimensional sign vector exactly once, each with an
     exact interior witness, in breadth-first wall-crossing order from an
-    initial generic cell.  A repeated hyperplane is refused."""
+    initial generic cell.  Mixed dimensions and repeated hyperplanes are refused."""
     if not hyperplanes:
         raise InputError("need at least one hyperplane")
     normals = [h.normal for h in hyperplanes]
+    d = len(normals[0])
     first: dict[IntVec, int] = {}
     for k, n in enumerate(normals):
+        if len(n) != d:
+            raise InputError(f"hyperplane {k} has {len(n)} coordinates, "
+                             f"hyperplane 0 has {d}")
         i = first.setdefault(n, k)
         if i != k:
             raise InputError(f"hyperplane {k} repeats hyperplane {i} "
                              f"(normal ({', '.join(str(e) for e in n)}))")
-    arrangement = _Arrangement(normals, len(normals[0]), pointed=True)
-    for sigma, j in arrangement.cells():
-        yield sigma, tuple(Fraction(e) for e in arrangement.witness(sigma, j))
+    arrangement = _Arrangement(normals, d, pointed=True)
+    for sigma, j in arrangement.masks():
+        yield (_signs(sigma, len(normals)),
+               tuple(Fraction(e) for e in arrangement.witness(sigma, j)))
 
 
 def _verified_uncovered(direction: Point, cones: Sequence[ConeSpec]) -> bool:
@@ -383,6 +382,15 @@ def _uncovered_direction(cones: Sequence[ConeSpec], w: Optional[IntVec] = None,
     return direction
 
 
+def _check_coverage_budget(d: int, allow_high_dimension: bool = False) -> None:
+    """Refuse exact coverage beyond dimension 4, before any work, unless allowed."""
+    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
+        raise InputError(
+            f"exact coverage in dimension {d} needs allow_high_dimension=True "
+            "(cell counts grow combinatorially: expect millions of cells and "
+            "hours of work beyond dimension 4)")
+
+
 def covers_space(cones: Sequence[ConeSpec], *,
                  allow_high_dimension: bool = False) -> CoverageCertificate:
     """Decide whether the union of the closed cones is all of space.
@@ -390,7 +398,7 @@ def covers_space(cones: Sequence[ConeSpec], *,
     Covered means every full-dimensional cell of the facet arrangement lies
     inside at least one cone with independent generators (degenerate cones
     never earn coverage credit, though their facets contribute hyperplanes).
-    Each cell's cone is read from its sign vector, and no cell has a witness
+    Each cell's cone is read from its mask, and no cell has a witness
     built but the one reported: on failure the uncovered direction is an
     exact integer point of the first uncovered cell, verified to lie in no
     cone: the cell's own witness, or, when that lies in a degenerate cone, a
@@ -398,11 +406,7 @@ def covers_space(cones: Sequence[ConeSpec], *,
     (`_uncovered_direction`).
     """
     d = _check_cones(cones)
-    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
-        raise InputError(
-            f"exact coverage in dimension {d} needs allow_high_dimension=True "
-            "(cell counts grow combinatorially: expect millions of cells and "
-            "hours of work beyond dimension 4)")
+    _check_coverage_budget(d, allow_high_dimension)
     family = _ConeFamily.of_cones(cones)
     hyperplanes = tuple(CentralHyperplane(n) for n in family.normals)
     if all(cone.facet_rows is None for cone in cones):
@@ -411,7 +415,7 @@ def covers_space(cones: Sequence[ConeSpec], *,
     mapping: dict[SignVector, int] = {}
     checked = 0
     arrangement = _Arrangement(family.normals, d)
-    for sigma, j in arrangement.cells():
+    for sigma, j in arrangement.masks():
         checked += 1
         hit = family.first_independent(sigma)
         if hit is None:
@@ -421,7 +425,7 @@ def covers_space(cones: Sequence[ConeSpec], *,
                 witness = _uncovered_direction(cones, x, hyperplanes)
             return CoverageCertificate(False, checked, hyperplanes,
                                        uncovered_direction=witness)
-        mapping[sigma] = hit
+        mapping[_signs(sigma, len(hyperplanes))] = hit
     return CoverageCertificate(True, checked, hyperplanes, per_cell_cone=mapping)
 
 

@@ -149,7 +149,7 @@ def _cmd_search(args) -> int:
           report.to_json_dict(),
           f"best depth {report.best_depth} "
           f"(bound {report.comparison['lower_bound']}, "
-          f"conjectured optimum {report.comparison['conjecture']})")
+          f"proven minimum {report.comparison['conjecture']})")
     return 0
 
 

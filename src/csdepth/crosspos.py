@@ -14,12 +14,13 @@ cone through x yields a family whose coverage is then certified exactly.
 Candidate directions come, in order, from the antipodes of all configuration
 points, from the cells of the family's facet arrangement (exhaustively for
 d <= 3, where the cell count stays small), and from seeded random
-directions.  The cone count of a candidate is read from its sign vector over
-the family's shared facet normals (`_ConeFamily`): a cell has it from the
-enumeration, a point gets it from one dot product per normal.  A cell's
-exact witness is built only when it is output as the search direction, or
-when dependent cones, which are tested on points, need it.  The colour
-subset is checked as `d_depth` checks it.
+directions.  The cone count of a candidate is read from bit masks over the
+family's shared facet normals (`_ConeFamily`): a cell's own mask from the
+enumeration, a point's from one dot product per normal.  A cell's exact
+witness is built only when it is output as the search direction, or when
+dependent cones, which are tested on points, need it.  The colour subset
+is checked as `d_depth` checks it; a decision beyond dimension 4 is
+refused before any cone is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arrangement import CoverageCertificate, _Arrangement, covers_space
+from .arrangement import CoverageCertificate, _Arrangement, _check_coverage_budget, covers_space
 from .configuration import Configuration, _origin_in_core
 from .depth import ConeSpec, _check_colour_subset, _ConeFamily
 from .errors import InputError
@@ -90,6 +91,7 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
                 raise InputError(f"pair {c}: expected {d} coordinates, got {len(p)}")
             if is_zero_vec(p):
                 raise InputError(f"pair {c}: points must be nonzero")
+    _check_coverage_budget(d)
     cones = [ConeSpec(tuple(pairs[i][bits[i]] for i in range(d)))
              for bits in itertools.product((0, 1), repeat=d)]
     return covers_space(cones)
@@ -98,13 +100,12 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
 def _candidate_directions(config: Configuration, family: _ConeFamily,
                           cells: Optional[_Arrangement], seed: int):
     """Candidate directions in deterministic priority order, as (integer
-    point, sign vector, hyperplane crossed): antipodes of all configuration
+    point, cell mask, hyperplane crossed): antipodes of all configuration
     points, then every cell of the family's facet arrangement when `cells`
     holds it, then random draws.  Antipodes and draws are nonzero points,
-    distinct up to positive scaling, with no sign vector.  A cell comes as
-    its sign vector and the hyperplane `cells` crossed to reach it; its
-    point is built only when dependent cones need it, and is None
-    otherwise."""
+    distinct up to positive scaling, with no mask.  A cell comes as its
+    mask and the hyperplane `cells` crossed to reach it; its point is built
+    only when dependent cones need it, and is None otherwise."""
     d = config.dimension
     emitted: set[IntVec] = set()
 
@@ -122,8 +123,8 @@ def _candidate_directions(config: Configuration, family: _ConeFamily,
         if fresh(x):
             yield x, None, None
     if cells is not None:
-        for sigma, j in cells.cells():
-            yield (cells.witness(sigma, j) if family.dependent else None), sigma, j
+        for cell, j in cells.masks():
+            yield (cells.witness(cell, j) if family.dependent else None), cell, j
     rng = random.Random(seed)
     for _ in range(_RANDOM_CANDIDATES):
         x = tuple(rng.getrandbits(20) - (1 << 19) for _ in range(d))
@@ -157,9 +158,9 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     cells = _Arrangement(family.normals, d, pointed=family.dependent) if exhaustive else None
     best = len(family.choices) + 1
     tried = 0
-    for x, sigma, crossed in _candidate_directions(config, family, cells, seed):
+    for x, cell, crossed in _candidate_directions(config, family, cells, seed):
         tried += 1
-        hits = family.containing(x, sigma)
+        hits = family.containing(x, cell)
         best = min(best, len(hits))
         if not 1 <= len(hits) <= d - 1:
             continue
@@ -179,7 +180,7 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
         certificate = is_deformed_cross_position(pair_points)
         if certificate.covered:
             if x is None:
-                x = cells.witness(sigma, crossed)
+                x = cells.witness(cell, crossed)
             return CrossPosition(
                 colour_set=subset,
                 pairs=tuple(pairs),

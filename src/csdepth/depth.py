@@ -10,6 +10,9 @@ ones by one exact LP; both paths are exact.
 Points may be scaled to integer vectors freely: multiplying any single
 vertex or generator by a positive rational never changes a containment
 verdict, only the convex/conic coefficients, which are unscaled afterwards.
+
+A family of cones (`_ConeFamily`) is one table read by bit masks over its
+facet normals: a point's `sides`, or an arrangement cell's own mask.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .exactgeom import (
     vec_dot,
     vec_neg,
 )
-
-SignVector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -352,27 +353,16 @@ def _check_colour_subset(config: Configuration, colours: Sequence[int]) -> tuple
     return subset
 
 
-def _side_masks(signs: Sequence[int]) -> tuple[int, int]:
-    """Bit masks of the hyperplanes with positive and with negative sign in
-    `signs`; a zero sign is in neither."""
-    above = below = 0
-    for k, s in enumerate(signs):
-        if s > 0:
-            above |= 1 << k
-        elif s < 0:
-            below |= 1 << k
-    return above, below
-
-
 class _ConeFamily:
-    """Cones of d generators each, as one table read by sign vectors.
+    """Cones of d generators each, as one table read by bit masks.
 
     `normals` holds the distinct primitive normals, sorted, to the spans of
     d-1 generators of each cone: the family's facet arrangement, as
     `arrangement.facet_hyperplanes` gives it.  An independent cone is the
     side of each of its d hyperplanes that it lies on, kept as bit masks
-    (pos, neg) over `normals`: a point with `_side_masks` (above, below)
-    lies in it iff neither pos & below nor neg & above.  A dependent cone
+    (pos, neg) over `normals`: a point whose `sides` are (above, below)
+    lies in it iff neither pos & below nor neg & above.  An open cell's
+    mask is its above, and its complement ~mask its below.  A dependent cone
     keeps only its `generators` and is tested on a point.
 
     `_ConeFamily(classes)` holds the one-point-per-colour cones over colour
@@ -436,20 +426,23 @@ class _ConeFamily:
             self._masks.append(None if pos is None else (pos, neg))
         self.dependent = None in self._masks
 
-    def signs(self, x: IntVec) -> SignVector:
-        """The sign of x against each of `normals` (0 on the hyperplane)."""
-        out = []
-        for n in self.normals:
+    def sides(self, x: IntVec) -> tuple[int, int]:
+        """Bit masks of the `normals` with x on their positive and on their
+        negative side; a normal through x is in neither."""
+        above = below = 0
+        for k, n in enumerate(self.normals):
             t = vec_dot(n, x)
-            out.append((t > 0) - (t < 0))
-        return tuple(out)
+            if t > 0:
+                above |= 1 << k
+            elif t < 0:
+                below |= 1 << k
+        return above, below
 
-    def containing(self, x: Optional[IntVec],
-                   signs: Optional[SignVector] = None) -> list:
-        """Choices whose closed cones contain the point x, in order.  `signs`
-        are x's `signs`, computed when not given; x itself is read only by
-        dependent cones, and may be None when there are none."""
-        above, below = _side_masks(self.signs(x) if signs is None else signs)
+    def containing(self, x: Optional[IntVec], cell: Optional[int] = None) -> list:
+        """Choices whose closed cones contain the point x, in order.  The
+        mask of an open cell holding x, if given, stands in for x's `sides`;
+        x itself is read only by dependent cones, and may be None if none."""
+        above, below = self.sides(x) if cell is None else (cell, ~cell)
         out = []
         for choice, masks, gens in zip(self.choices, self._masks, self.generators):
             if masks is None:
@@ -462,13 +455,12 @@ class _ConeFamily:
     def count_containing(self, x: IntVec) -> int:
         return len(self.containing(x))
 
-    def first_independent(self, signs: SignVector):
+    def first_independent(self, cell: int):
         """The first choice whose cone has independent generators and
-        contains the points of the given signs, or None.  Dependent cones
+        contains the open cell of the given mask, or None.  Dependent cones
         are skipped, so no point is needed."""
-        above, below = _side_masks(signs)
         for choice, masks in zip(self.choices, self._masks):
-            if masks is not None and not (masks[0] & below or masks[1] & above):
+            if masks is not None and not (masks[0] & ~cell or masks[1] & cell):
                 return choice
         return None
 

@@ -553,6 +553,20 @@ class TestRepeatedHyperplanes:
             list(enumerate_cells(hyperplanes_of(normals)))
 
 
+class TestMixedDimensions:
+    """Hyperplanes of different dimensions bound no common arrangement: the
+    input is refused, naming the index and both lengths, in either order."""
+
+    @pytest.mark.parametrize("normals, message", [
+        ([(1, 0), (1, 1, 0)], "hyperplane 1 has 3 coordinates, hyperplane 0 has 2"),
+        ([(1, 1, 0), (1, 0)], "hyperplane 1 has 2 coordinates, hyperplane 0 has 3"),
+        ([(1, 0, 0), (0, 1, 0), (1, 1)], "hyperplane 2 has 2 coordinates, hyperplane 0 has 3"),
+    ])
+    def test_refused(self, normals, message):
+        with pytest.raises(InputError, match=message):
+            list(enumerate_cells(hyperplanes_of(normals)))
+
+
 def cells_digest(normals):
     """sha256 of the whole `enumerate_cells` sequence: one line per cell,
     its signs as +/- and its witness's coordinates."""

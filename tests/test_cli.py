@@ -183,6 +183,18 @@ class TestCrossCheck:
         assert doc["result"]["covered"] is False
         assert "uncovered_direction" in doc["result"]
 
+    def test_dimension_12_exits_2_before_any_cone(self, tmp_path, capsys, monkeypatch):
+        import csdepth.crosspos
+        monkeypatch.setattr(csdepth.crosspos, "ConeSpec", _fail_if_called("a cone"))
+        # the cross-polytope: the pair +e_i, -e_i for each colour i
+        colours = [[[str(s * (k == i)) for k in range(12)] for s in (1, -1)] for i in range(12)]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"d": 12, "colours": colours}))
+        code, out, err = run_cli(capsys, "cross-check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "exact coverage in dimension 12 needs allow_high_dimension=True" in err
+
 
 class TestWitness:
     def test_meets_bound(self, tmp_path, capsys):
