@@ -3,16 +3,19 @@
 Containment is decided with closed semantics throughout: the origin on the
 boundary of a simplex or cone counts as contained, and degenerate vertex or
 generator tuples are decided on the (lower-dimensional) closed hull by exact
-feasibility rather than rejected.  Nondegenerate instances are decided by
-signs of integer cofactors (simplex weights, cone facet rows), degenerate
-ones by one exact LP; both paths are exact.
+feasibility rather than rejected.  Instances are decided by signs of
+integer cofactors (simplex weights, cone facet rows) unless those all
+vanish (simplex vertices spanning less than d dimensions, dependent cone
+generators), which take one exact LP; both paths are exact.
 
 Points may be scaled to integer vectors freely: multiplying any single
 vertex or generator by a positive rational never changes a containment
 verdict, only the convex/conic coefficients, which are unscaled afterwards.
 
 A family of cones (`_ConeFamily`) is one table read by bit masks over its
-facet normals: a point's `sides`, or an arrangement cell's own mask.
+facet normals: a point's `sides`, or an arrangement cell's own mask.  The
+colourful simplices of a configuration (`_MinorTable`) are read by bit
+masks over its transversals.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .configuration import (
     Configuration,
@@ -100,11 +103,15 @@ def _origin_weights(ints: Sequence[IntVec], strict: IntVec) -> Optional[Point]:
 
 
 def _cofactor_verdict(cs: Sequence[int]) -> Optional[bool]:
-    """Closed containment of the origin in the hull of d+1 vertices whose
-    weights `cs` (see `_contains_origin_scaled`) do not sum to 0: the origin
-    is inside iff the weights share one sign.  None when they sum to 0, where
-    the vertices may be affinely dependent and the signs decide nothing."""
-    if sum(cs) == 0:
+    """Closed containment of the origin in the hull of d+1 vertices with
+    weights `cs` (see `_contains_origin_scaled`): the origin is inside iff
+    the weights share one sign.  None when every weight is 0, where the
+    vertices span less than d dimensions and the signs decide nothing.
+
+    Weights that are not all 0 mean rank d, so they span the only linear
+    dependence of the vertices; if they sum to 0, no multiple of them sums
+    to 1, so the origin is outside, and indeed their signs are mixed."""
+    if not any(cs):
         return None
     return min(cs) >= 0 or max(cs) <= 0
 
@@ -115,9 +122,9 @@ def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[i
     given their weights `cs`: the cofactors of det[v_i, 1] along its column
     of ones, up to one common sign, so that sum_i cs_i v_i = 0.
 
-    Cofactor signs decide when the vertices are affinely independent, exact
-    feasibility otherwise.  Returned coefficients are barycentric for the
-    original (unscaled) vertices.
+    Cofactor signs decide unless every weight is 0, exact feasibility then.
+    Returned coefficients are barycentric for the original (unscaled)
+    vertices.
     """
     n = len(scaled)
     verdict = _cofactor_verdict(cs)
@@ -127,7 +134,7 @@ def _contains_origin_scaled(scaled: Sequence[tuple[IntVec, int]], cs: Sequence[i
         weights = [cs[i] * scaled[i][1] for i in range(n)]
         s = sum(weights)
         return True, tuple(Fraction(w, s) for w in weights)
-    # degenerate tuple: decide on the closed lower-dimensional hull
+    # rank below d: decide on the closed lower-dimensional hull
     sol = _origin_weights([v for v, _ in scaled], (1,) * n)
     if sol is None:
         return False, None
@@ -164,7 +171,7 @@ def origin_in_convex_hull(points: Sequence[Point]) -> bool:
     d+1 points in dimension d are decided by the signs of the cofactors of
     their coordinate columns (`_cofactor_verdict`), and d linearly
     independent points never contain it; every other case, and cofactors
-    summing to 0, by exact feasibility."""
+    that are all 0, by exact feasibility."""
     points = tuple(points)
     if not points:
         raise InputError("need at least one point")
@@ -202,142 +209,221 @@ def cone_contains(cone: ConeSpec, x: Point) -> bool:
                                scale_to_integers(x)[0])
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending (one pass over its
+    binary digits, so linear in its length)."""
+    digits = format(mask, "b")[::-1]
+    out = []
+    t = digits.find("1")
+    while t >= 0:
+        out.append(t)
+        t = digits.find("1", t + 1)
+    return out
+
+
+def _mask(bits: Iterable[int], size: int) -> int:
+    """The int below 2^size with the given bits set (one buffer, so linear
+    in size, where or-ing in 1 << b would copy the mask once per bit)."""
+    buf = bytearray((size + 7) // 8)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
 class _MinorTable:
-    """Every colourful d×d minor of a configuration's points as given, and
-    the verdict each transversal reads from them.
+    """Every colourful d×d minor of integer points, and the transversals
+    whose closed simplices contain the origin, as bit masks.
 
-    `scaled[c][j]` is point (c, j) as `scale_to_integers` returns it.
-    `minors[i]` lists the signed minors for colour i, the points of the other
-    colours chosen in lexicographic order; each is computed once and serves
-    the d+1 transversals that differ in colour i alone.  Transversal t (in
-    lexicographic order) has the base-(d+1) digits `choice`; deleting digit i
-    gives the position of its minor in minors[i] (`weights` reads them).
-    `verdicts[t]` says whether its closed simplex contains the origin, and
-    `depth` counts the transversals that do.
+    `points[c][j]` is point (c, j).  `minors[i]` lists the signed minors for
+    colour i, the points of the other colours chosen in lexicographic
+    order; each serves the d+1 transversals that differ in colour i alone.
+    Transversal t (in lexicographic order) has the base-(d+1) digits
+    `choice`; deleting digit i gives the position of its minor in minors[i],
+    its weight i (`weights` reads them).
 
-    `propose` gives the exact depth after replacing one colour's points and
-    `commit` adopts that change.  A move of colour c changes a set S of its
-    points; only the minors with a point of S as their colour-c row change,
-    and only the transversals through S are decided again.  For i != c
-    such a minor is dot(p, N), p the new point and N the signed
-    `normal_to_span` of its other d-1 rows.  These normals are cached per
-    (i, c), and a commit drops only the ones reading the changed colour.
+    Bit t of an int mask stands for transversal t.  A minor's d+1
+    transversals are one fixed comb of bits, spaced by the stride of digit
+    i, shifted left to the one with colour-i point 0, so the weights are
+    kept as two masks per colour: `positive[i]` (weight i > 0) and
+    `negative[i]` (weight i < 0).  By `_cofactor_verdict` a transversal
+    contains the origin iff exactly one of the unions of those masks holds
+    it; only transversals with every weight 0 are decided by exact
+    feasibility, and `lp` holds those that contain it.  `inside` is the
+    mask of the containing transversals and `depth` its popcount.
+
+    Minors are dot products: for colours i != c, a minor of colour i is
+    dot(p, N), p its colour-c point and N the signed `normal_to_span` of its
+    other d-1 rows, and the normals are cached per (i, c).  `propose` gives
+    the exact depth after replacing one colour's points and `commit` adopts
+    that change.  A move of colour c changes a set S of its points; only the
+    minors with a point of S as their colour-c row change, so only the bits
+    of the transversals through S are rewritten, and a commit recomputes
+    only the cached normals through S.
     """
 
-    def __init__(self, colours: Sequence[Sequence[Point]]):
-        d = len(colours) - 1
+    def __init__(self, points: Sequence[Sequence[IntVec]]):
+        d = len(points) - 1
         n = d + 1
         self.dimension = d
-        self.scaled = [[scale_to_integers(p) for p in cls] for cls in colours]
-        self.minors = []
-        for i in range(n):
-            others = [self.scaled[c] for c in range(n) if c != i]
-            sign = 1 if (n + i) % 2 == 0 else -1
-            self.minors.append([sign * int_det([others[a][j][0] for a, j in enumerate(rest)])
-                                for rest in itertools.product(range(n), repeat=d)])
+        self.points = [list(cls) for cls in points]
         self._high = [n ** (n - i) for i in range(n)]
         self._low = [n ** (d - i) for i in range(n)]
-        self.verdicts = self.decide(range(n ** n), self.scaled, self.minors)
-        self.depth = sum(self.verdicts)
-        self._normals: dict[tuple[int, int], tuple[list[IntVec], list[int], int]] = {}
+        self._combs = [sum(1 << j * lo for j in range(n)) for lo in self._low]
+        self._size = n ** n  # transversals, so bits per mask
+        full = (1 << self._size) - 1
+        # full is the disjoint union of the shifts of the transversals with
+        # colour-c point 0 by the comb of colour c
+        self._point_zero = [full // comb for comb in self._combs]
+        self._normals: dict[tuple[int, int], tuple[list[IntVec], list[int], list[int], int]] = {}
+        self.minors, self.positive, self.negative = [], [], []
+        for i in range(n):
+            row = [0] * n ** d
+            # any colour c != i gives the minors of colour i as dot products
+            pos, neg = self._rewrite(i, 1 if i == 0 else 0, self.points, range(n), row)
+            self.minors.append(row)
+            self.positive.append(pos)
+            self.negative.append(neg)
+        self.lp, self.inside = self._decide(self.positive, self.negative, self.points, full, 0)
+        self.depth = self.inside.bit_count()
         self._pending = None
 
     def choice(self, t: int) -> Transversal:
         """The base-(d+1) digits of transversal t: its point of each colour."""
         return tuple(t // lo % len(self._low) for lo in self._low)
 
-    def weights(self, ts: Sequence[int], minors: Sequence[Sequence[int]]
-                ) -> Iterator[tuple[int, ...]]:
-        """The cofactor weights of each transversal in ts, read from `minors`."""
+    def weights(self, ts: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        """The cofactor weights of each transversal in ts."""
         return zip(*[[m[t // h * lo + t % lo] for t in ts]
-                     for m, h, lo in zip(minors, self._high, self._low)])
+                     for m, h, lo in zip(self.minors, self._high, self._low)])
 
-    def decide(self, ts: Sequence[int], scaled, minors) -> list[bool]:
-        """Verdicts of the transversals ts over the given points and minors
-        (this table's, or a proposed change of them): cofactor signs, or
-        exact feasibility when the weights sum to 0."""
-        out = []
-        for t, cs in zip(ts, self.weights(ts, minors)):
-            verdict = _cofactor_verdict(cs)
-            if verdict is None:
-                verts = [scaled[c][j][0] for c, j in enumerate(self.choice(t))]
-                verdict = _origin_weights(verts, (1,) * len(verts)) is not None
-            out.append(verdict)
-        return out
+    def _normal(self, i: int, c: int, k: int) -> IntVec:
+        """Normal k of the table (i, c): to the points of the colours other
+        than i and c whose base-(d+1) digits are k, signed so that its dot
+        product with a colour-c point is their minor of colour i."""
+        d = self.dimension
+        n = d + 1
+        others = [o for o in range(n) if o not in (i, c)]
+        normal = normal_to_span([self.points[o][k // n ** (d - 2 - a) % n]
+                                 for a, o in enumerate(others)], d)
+        if normal is None:
+            return (0,) * d
+        pos = c if c < i else c - 1  # row of colour c among the colours != i
+        # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
+        # moving x from the last row to row pos takes d-1-pos swaps
+        sign = (1 if (n + i) % 2 == 0 else -1) * (-1) ** pos
+        return tuple([sign * e for e in normal])
 
-    def _normal_table(self, i: int, c: int) -> tuple[list[IntVec], list[int], int]:
-        """For the minors of colour i whose colour-c point varies: one signed
-        normal per choice of the other d-1 colours' points, in lexicographic
-        order, the position in minors[i] of each one's minor with colour-c
-        point 0, and the stride that colour-c point j adds j times."""
+    def _normal_table(self, i: int, c: int) -> tuple[list[IntVec], list[int], list[int], int]:
+        """For the minors of colour i whose colour-c point varies: one
+        `_normal` per choice of the other d-1 colours' points, in
+        lexicographic order; the position in minors[i] of each one's minor
+        with colour-c point 0, and that minor's transversal with colour-i
+        point 0; and the stride that colour-c point j adds j times to the
+        position."""
         cached = self._normals.get((i, c))
         if cached is not None:
             return cached
         d = self.dimension
         n = d + 1
-        pos = c if c < i else c - 1  # row of colour c among the colours != i
-        # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
-        # moving x from the last row to row pos takes d-1-pos swaps
-        sign = (1 if (n + i) % 2 == 0 else -1) * (-1) ** pos
-        others = [self.scaled[o] for o in range(n) if o not in (i, c)]
-        stride = n ** (d - 1 - pos)
-        normals = []
-        starts = []
-        for k, rest in enumerate(itertools.product(range(n), repeat=d - 1)):
-            normal = normal_to_span([others[a][j][0] for a, j in enumerate(rest)], d)
-            normals.append((0,) * d if normal is None else tuple(sign * e for e in normal))
-            starts.append(k // stride * stride * n + k % stride)
-        self._normals[(i, c)] = normals, starts, stride
-        return normals, starts, stride
+        stride = n ** (d - 1 - (c if c < i else c - 1))
+        lo = self._low[i]
+        starts = [k // stride * stride * n + k % stride for k in range(n ** (d - 1))]
+        table = ([self._normal(i, c, k) for k in range(n ** (d - 1))], starts,
+                 [s // lo * lo * n + s % lo for s in starts], stride)
+        self._normals[(i, c)] = table
+        return table
 
-    def propose(self, colour: int, points: Sequence[Point]) -> int:
+    def _rewrite(self, i: int, c: int, classes, moved, row: list[int]) -> tuple[int, int]:
+        """Write into `row` (minors[i], or a proposal's copy) the minors of
+        colour i through colour-c points `classes[c][j]`, j in moved, and
+        return the masks of their transversals with weight i > 0 and < 0."""
+        normals, starts, bases, stride = self._normal_table(i, c)
+        step = self._low[c]
+        pos, neg = [], []
+        for j in moved:
+            p = classes[c][j]
+            for normal, start, base in zip(normals, starts, bases):
+                m = vec_dot(p, normal)
+                row[start + j * stride] = m
+                if m > 0:
+                    pos.append(base + j * step)
+                elif m < 0:
+                    neg.append(base + j * step)
+        # the bits hold colour-i point 0; the comb adds each other point
+        comb = self._combs[i]
+        return _mask(pos, self._size) * comb, _mask(neg, self._size) * comb
+
+    def _decide(self, positive, negative, classes, through: int, lp: int) -> tuple[int, int]:
+        """(lp, inside) once the transversals in the mask `through` have the
+        weight masks given: cofactor signs, and exact feasibility for those
+        in `through` whose weights are all 0."""
+        pos = neg = 0
+        for mask in positive:
+            pos |= mask
+        for mask in negative:
+            neg |= mask
+        lp &= ~through
+        for t in _bits(through & ~(pos | neg)):
+            verts = [classes[c][j] for c, j in enumerate(self.choice(t))]
+            if _origin_weights(verts, (1,) * len(verts)) is not None:
+                lp |= 1 << t
+        return lp, pos ^ neg | lp
+
+    def propose(self, colour: int, points: Sequence[IntVec]) -> int:
         """The exact depth with colour `colour`'s points replaced by `points`;
         the change is held for `commit` until the next proposal."""
-        d = self.dimension
-        n = d + 1
-        new = [scale_to_integers(p) for p in points]
-        moved = [j for j in range(n) if new[j] != self.scaled[colour][j]]
-        scaled = list(self.scaled)
-        scaled[colour] = new
+        n = self.dimension + 1
+        moved = [j for j in range(n) if points[j] != self.points[colour][j]]
+        classes = list(self.points)
+        classes[colour] = list(points)
         minors = list(self.minors)
+        positive = list(self.positive)
+        negative = list(self.negative)
+        through = 0
+        for j in moved:
+            through |= self._point_zero[colour] << j * self._low[colour]
         for i in range(n):
-            if i == colour:
-                continue
-            normals, starts, stride = self._normal_table(i, colour)
-            row = minors[i] = list(minors[i])
-            for j in moved:
-                p = new[j][0]
-                for normal, start in zip(normals, starts):
-                    row[start + j * stride] = vec_dot(p, normal)
-        weight = n ** (d - colour)
-        through = [rest // weight * weight * n + j * weight + rest % weight
-                   for j in moved for rest in range(n ** d)]
-        changed = [t for t, verdict in zip(through, self.decide(through, scaled, minors))
-                   if verdict != self.verdicts[t]]
-        depth = self.depth + sum(-1 if self.verdicts[t] else 1 for t in changed)
-        self._pending = (colour, scaled, minors, changed, depth)
+            if i != colour:
+                row = minors[i] = list(minors[i])
+                pos, neg = self._rewrite(i, colour, classes, moved, row)
+                positive[i] = positive[i] & ~through | pos
+                negative[i] = negative[i] & ~through | neg
+        lp, inside = self._decide(positive, negative, classes, through, self.lp)
+        depth = inside.bit_count()
+        self._pending = (colour, moved, classes, minors, positive, negative, lp, inside, depth)
         return depth
 
     def commit(self) -> None:
-        """Adopt the last proposal."""
-        colour, self.scaled, self.minors, changed, self.depth = self._pending
-        for t in changed:
-            self.verdicts[t] = not self.verdicts[t]
-        self._normals = {key: v for key, v in self._normals.items() if colour in key}
+        """Adopt the last proposal, and recompute the cached normals through
+        the moved points."""
+        (colour, moved, self.points, self.minors, self.positive, self.negative,
+         self.lp, self.inside, self.depth) = self._pending
         self._pending = None
+        n = self.dimension + 1
+        for (i, c), (normals, *_) in self._normals.items():
+            if colour in (i, c):
+                continue
+            others = [o for o in range(n) if o not in (i, c)]
+            stride = n ** (n - 3 - others.index(colour))  # of colour's digit in k
+            for j in moved:
+                for first in range(j * stride, len(normals), n * stride):
+                    for k in range(first, first + stride):
+                        normals[k] = self._normal(i, c, k)
 
 
 def colourful_depth(config: Configuration) -> DepthReport:
     """Count, over all transversals, the closed colourful simplices containing
     the origin, with barycentric witnesses in lexicographic order.
 
-    The points are tested as given, through one `_MinorTable`."""
-    table = _MinorTable(config.colours)
-    contained = [t for t, verdict in enumerate(table.verdicts) if verdict]
+    The points are tested as given, each scaled to integers, through one
+    `_MinorTable`; weights are read only for the containing transversals."""
+    scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
+    table = _MinorTable([[v for v, _ in cls] for cls in scaled])
+    contained = _bits(table.inside)
     witnesses = []
-    for t, cs in zip(contained, table.weights(contained, table.minors)):
+    for t, cs in zip(contained, table.weights(contained)):
         choice = table.choice(t)
-        verts = [table.scaled[c][j] for c, j in enumerate(choice)]
+        verts = [scaled[c][j] for c, j in enumerate(choice)]
         witnesses.append((choice, _contains_origin_scaled(verts, cs)[1]))
     return DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))
 

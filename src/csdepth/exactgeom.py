@@ -24,7 +24,7 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -76,16 +76,13 @@ def is_zero_vec(a: Sequence) -> bool:
     return all(x == 0 for x in a)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def scale_to_integers(point: Sequence[Fraction]) -> tuple[IntVec, int]:
-    """Return (m*point as integers, m) for the smallest positive integer m."""
-    m = 1
-    for c in point:
-        m = _lcm(m, Fraction(c).denominator)
-    return tuple(int(c * m) for c in point), m
+    """Return (m*point as integers, m) for the smallest positive integer m.
+
+    Coordinates may be `Fraction`s or plain ints; only their `numerator`
+    and `denominator` are read, so an integer point costs no division."""
+    m = lcm(*[c.denominator for c in point])
+    return tuple([c.numerator * (m // c.denominator) for c in point]), m
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

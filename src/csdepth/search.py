@@ -8,11 +8,15 @@ chosen point with a fresh sample, repairing the anchor (when a non-anchor
 point moved) or rejecting the proposal (when moving the anchor itself would
 evict the origin), so every configuration ever evaluated keeps the origin in
 its core.  That hull test reads the cofactor signs of the moved class
-(`origin_in_convex_hull`), with no LP unless they sum to 0.
+(`origin_in_convex_hull`), with no LP unless they are all 0.
 
-Each proposal is evaluated exactly and incrementally: its depth is updated
-from the incumbent's minor table, recomputing only the minors and
-transversals through the moved points (`_ProposalScreen`).  A proposal is
+Every sampled coordinate is an integer numerator over 2^16, and the
+descent keeps points as those integer vectors; `Fraction`s are made only
+for the tripwire's `Configuration`, a bound violation's counterexample and
+the output.  Each proposal is evaluated exactly and incrementally: its
+depth is updated from the incumbent's minor table, recomputing only the
+minors through the moved points and rewriting only the sign bits of the
+transversals through them (`_ProposalScreen`).  A proposal is
 accepted iff that depth is below the incumbent's; an accepted one is
 recounted from scratch by `colourful_depth` as a tripwire, and the two
 counts must agree.  Every depth, incremental or full, is checked against
@@ -27,7 +31,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .configuration import (
     Configuration,
@@ -37,6 +41,7 @@ from .configuration import (
 )
 from .depth import _MinorTable, colourful_depth, origin_in_convex_hull
 from .errors import InputError, ViolationError
+from .exactgeom import IntVec
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -62,9 +67,25 @@ class SearchReport:
         }
 
 
+def _sample_numerators(d: int, rng: random.Random) -> IntVec:
+    return tuple([rng.randint(-_DENOMINATOR, _DENOMINATOR) for _ in range(d)])
+
+
 def _sample_point(d: int, rng: random.Random) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-_DENOMINATOR, _DENOMINATOR), _DENOMINATOR)
-                 for _ in range(d))
+    return tuple(Fraction(x, _DENOMINATOR) for x in _sample_numerators(d, rng))
+
+
+def _numerators(config: Configuration) -> list[list[IntVec]]:
+    """The points of a sampled configuration as integer numerators over
+    2^16, the form the descent keeps."""
+    return [[tuple(x.numerator * (_DENOMINATOR // x.denominator) for x in p) for p in cls]
+            for cls in config.colours]
+
+
+def _configuration(d: int, points: Sequence[Sequence[IntVec]]) -> Configuration:
+    """The configuration whose points have the given numerators over 2^16."""
+    return Configuration(d, tuple(tuple(tuple(Fraction(x, _DENOMINATOR) for x in p)
+                                        for p in cls) for cls in points))
 
 
 def _anchored_class(points: list[tuple[Fraction, ...]], d: int
@@ -94,27 +115,29 @@ def random_configuration(d: int, seed: int) -> Configuration:
         f"seed={seed} after {_GENERATION_RETRIES} attempts")
 
 
-def _check_bound(d: int, depth: int, colours) -> None:
+def _check_bound(d: int, depth: int, points: Sequence[Sequence[IntVec]]) -> None:
     bound = theorem_bound(d)
     if depth < bound:
-        config = Configuration(d, tuple(tuple(cls) for cls in colours))
+        config = _configuration(d, points)
         raise ViolationError(
             f"configuration of depth {depth} < {bound} found: counterexample "
             "to the proven bound, or a defect in the containment predicates",
             counterexample=json.dumps(configuration_to_json_dict(config)))
 
 
-def _checked_depth(config: Configuration, table: Optional[_MinorTable] = None) -> int:
-    """The colourful depth of config, read from its minor table when given
-    and counted by `colourful_depth` otherwise, checked against the bound."""
-    depth = colourful_depth(config).depth if table is None else table.depth
-    _check_bound(config.dimension, depth, config.colours)
+def _checked_depth(d: int, points: Sequence[Sequence[IntVec]],
+                   table: Optional[_MinorTable] = None) -> int:
+    """The colourful depth of the points (numerators over 2^16), read from
+    their minor table when given and counted by `colourful_depth`
+    otherwise, checked against the bound."""
+    depth = colourful_depth(_configuration(d, points)).depth if table is None else table.depth
+    _check_bound(d, depth, points)
     return depth
 
 
 class _ProposalScreen:
     """Exact colourful depth of each descent proposal, updated from the
-    incumbent configuration's `_MinorTable` (`propose`) instead of
+    incumbent's `_MinorTable` of integer numerators (`propose`) instead of
     recomputed, and checked against the proven bound.
 
     The method names are kept from the cone-count screen this replaced,
@@ -122,8 +145,8 @@ class _ProposalScreen:
     exact depth, and `invalidate_except` commits the proposal.
     """
 
-    def __init__(self, config: Configuration):
-        self.table = _MinorTable(config.colours)
+    def __init__(self, points: Sequence[Sequence[IntVec]]):
+        self.table = _MinorTable(points)
 
     def lower_bound(self, classes, colour: int) -> int:
         depth = self.table.propose(colour, classes[colour])
@@ -157,11 +180,10 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
     history: list[tuple[int, int, int]] = []
     for r in range(restarts):
         child_seed = seed * 1_000_003 + r
-        config = random_configuration(d, child_seed)
+        points = _numerators(random_configuration(d, child_seed))
         rng = random.Random(child_seed ^ 0x9E3779B9)
-        points = [list(cls) for cls in config.colours]
-        screen = _ProposalScreen(config)
-        depth = _checked_depth(config, screen.table)
+        screen = _ProposalScreen(points)
+        depth = _checked_depth(d, points, screen.table)
         history.append((r, 0, depth))
         iteration = 0
         rejected = 0
@@ -169,7 +191,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
             iteration += 1
             colour = rng.randrange(d + 1)
             index = rng.randrange(d + 1)
-            fresh = _sample_point(d, rng)
+            fresh = _sample_numerators(d, rng)
             candidate = [cls[:] for cls in points]
             candidate[colour][index] = fresh
             if not origin_in_convex_hull(tuple(candidate[colour])):
@@ -184,8 +206,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
             if trial_depth >= depth:
                 rejected += 1
                 continue
-            trial = Configuration(d, tuple(tuple(cls) for cls in candidate))
-            if _checked_depth(trial) != trial_depth:
+            if _checked_depth(d, candidate) != trial_depth:
                 raise AssertionError(
                     f"incremental depth {trial_depth} disagrees with colourful_depth")
             points = candidate
@@ -194,7 +215,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
             screen.invalidate_except()
         if best_depth is None or depth < best_depth:
             best_depth = depth
-            best_config = Configuration(d, tuple(tuple(cls) for cls in points))
+            best_config = _configuration(d, points)
     return SearchReport(
         best_config=best_config,
         best_depth=best_depth,

@@ -184,10 +184,11 @@ class TestFamilyHyperplanes:
 
 
 class TestFamilyMembershipBySigns:
-    """`_ConeFamily.containing` reads membership from sign vectors over the
-    family's shared normals (a zero sign counts as inside) and tests only
-    dependent cones on a point; it must agree with `cone_contains` on every
-    cone, and `d_depth` with the count of those cones."""
+    """`_ConeFamily.containing` reads membership from bit masks over the
+    family's shared normals (a point's `sides`, where a normal through the
+    point counts as inside, or a cell's own mask) and tests only dependent
+    cones on a point; it must agree with `cone_contains` on every cone, and
+    `d_depth` with the count of those cones."""
 
     # colours of the point replaced, and of the point it repeats or scales
     PLANTS = {"none": None, "repeat": (1, 0, 1), "parallel": (2, 1, 3),

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -155,6 +156,75 @@ class TestOriginInHullFastPath:
             outcomes[want] += 1
         assert outcomes[True] > 10 and outcomes[False] > 10
         assert {"origin", "repeat", "line"} <= kinds
+
+
+class TestCofactorRule:
+    """One rule decides d+1 points in dimension d everywhere: the LP runs
+    only when every cofactor weight is 0 (rank below d), and weights that
+    are not all 0 but sum to 0 (rank d, affinely dependent) mean outside.
+    Seeded planted dependences hold `_cofactor_verdict`,
+    `simplex_contains_origin`, `origin_in_convex_hull` and, at d <= 2, the
+    minor table's masks to the exact LP."""
+
+    @staticmethod
+    def _plant(rng, d, kind):
+        pts = [random_rational_point(rng, d, span=4, den=3) for _ in range(d + 1)]
+        if kind == "repeat":
+            a, b = rng.sample(range(d + 1), 2)
+            pts[b] = pts[a]
+        elif kind == "hyperplane":
+            # the last point an affine combination of the others
+            lams = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d - 1)]
+            lams.append(1 - sum(lams))
+            pts[d] = tuple(sum(lam * p[k] for lam, p in zip(lams, pts)) for k in range(d))
+        elif kind == "subspace":
+            # every point in one linear subspace of dimension d-1
+            basis = [random_rational_point(rng, d, span=4, den=3) for _ in range(d - 1)]
+            coeffs = [[rng.randint(-2, 2) for _ in basis] for _ in range(d + 1)]
+            pts = [tuple(sum(c * b[k] for c, b in zip(cs, basis)) for k in range(d))
+                   for cs in coeffs]
+        return pts
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_agrees_with_lp(self, monkeypatch, d):
+        import csdepth.depth as depth_mod
+        from csdepth.depth import _MinorTable, _cofactor_verdict, _origin_weights
+        from csdepth.exactgeom import normal_to_span
+
+        lp_calls = []
+
+        def counted(*args):
+            lp_calls.append(args)
+            return _origin_weights(*args)
+
+        monkeypatch.setattr(depth_mod, "_origin_weights", counted)
+        rng = random.Random(7000 + d)
+        seen = {"outside by sum 0": 0, "lp": 0}
+        for trial in range(300):
+            pts = self._plant(rng, d, ["repeat", "hyperplane", "subspace", "none"][trial % 4])
+            # one common scale keeps affine dependences, so weights sum to 0
+            m = lcm(*[x.denominator for p in pts for x in p])
+            ints = [tuple(int(x * m) for x in p) for p in pts]
+            want = _origin_weights(ints, (1,) * (d + 1)) is not None
+            columns = [tuple(v[k] for v in ints) for k in range(d)]
+            cs = normal_to_span(columns, d + 1) or (0,) * (d + 1)
+            verdict = _cofactor_verdict(cs)
+            if any(cs):
+                assert verdict == want, pts
+                if sum(cs) == 0:
+                    assert not want
+                    seen["outside by sum 0"] += 1
+            else:
+                assert verdict is None
+                seen["lp"] += 1
+            del lp_calls[:]
+            assert simplex_contains_origin(pts)[0] == want, pts
+            assert origin_in_convex_hull(pts) == want, pts
+            if d <= 2:  # every transversal of d+1 copies of each point is this simplex
+                table = _MinorTable([[v] * (d + 1) for v in ints])
+                assert table.inside == (want << (d + 1) ** (d + 1)) - want
+            assert bool(lp_calls) == (not any(cs))
+        assert seen["outside by sum 0"] >= 100 and seen["lp"] >= 50
 
 
 class TestConeContains:

@@ -1,10 +1,10 @@
 import pytest
 
 from csdepth import (
-    Configuration,
     InputError,
     ViolationError,
     colourful_depth,
+    configuration_to_json_dict,
     minimize_depth,
     random_configuration,
     theorem_bound,
@@ -93,39 +93,42 @@ class TestMinimizeDepth:
 
 
 class TestExactIncrementalDepth:
-    """Every proposal's depth comes from the incumbent's minor table,
-    updated for the moved points only; these tests hold each one to a full
-    `colourful_depth` of the candidate."""
+    """Every proposal's depth comes from the incumbent's minor table of
+    integer points, with only the sign bits of the transversals through the
+    moved points rewritten; these tests hold each one to a full
+    `colourful_depth` of the candidate, and each commit to a fresh table."""
 
     @staticmethod
     def _spy(monkeypatch):
         import csdepth.search as search
         from csdepth.depth import _MinorTable
-        from csdepth.exactgeom import scale_to_integers
 
         seen = {"proposals": 0, "moved": set(), "commits": 0, "last": None}
         lower_bound = search._ProposalScreen.lower_bound
         invalidate_except = search._ProposalScreen.invalidate_except
 
         def checked_lower_bound(self, classes, colour):
-            old = self.table.scaled[colour]
-            seen["moved"].add(sum(scale_to_integers(p) != q
-                                  for p, q in zip(classes[colour], old)))
+            old = self.table.points[colour]
+            seen["moved"].add(sum(p != q for p, q in zip(classes[colour], old)))
             got = lower_bound(self, classes, colour)
-            d = len(classes) - 1
-            candidate = Configuration(d, tuple(tuple(cls) for cls in classes))
+            candidate = search._configuration(len(classes) - 1, classes)
             assert got == colourful_depth(candidate).depth
             seen["proposals"] += 1
-            seen["last"] = candidate
+            seen["last"] = [list(cls) for cls in classes]
             return got
 
         def checked_invalidate_except(self):
             invalidate_except(self)
-            fresh = _MinorTable(seen["last"].colours)
-            assert self.table.scaled == fresh.scaled
+            fresh = _MinorTable(seen["last"])
+            assert self.table.points == fresh.points
             assert self.table.minors == fresh.minors
-            assert self.table.verdicts == fresh.verdicts
+            assert self.table.positive == fresh.positive
+            assert self.table.negative == fresh.negative
+            assert self.table.lp == fresh.lp
+            assert self.table.inside == fresh.inside
             assert self.table.depth == fresh.depth
+            for key, (normals, *_) in self.table._normals.items():
+                assert normals == fresh._normal_table(*key)[0]  # refreshed, not stale
             seen["commits"] += 1
 
         monkeypatch.setattr(search._ProposalScreen, "lower_bound", checked_lower_bound)
@@ -144,17 +147,17 @@ class TestExactIncrementalDepth:
         if d > 1:  # at d = 1 every configuration in general position has depth 2
             assert seen["commits"] > 0
 
-    def test_affinely_dependent_transversal_takes_the_lp(self, monkeypatch):
+    @staticmethod
+    def _propose_counting_lps(monkeypatch, points, colour, moved_to):
+        """Propose colour `colour` with `moved_to` in place of its point 0
+        on the minor table of `points`, and commit it; returns the table,
+        the committed points and the LP calls the proposal made."""
         import csdepth.depth as depth_mod
         from csdepth.search import _ProposalScreen
 
-        config = random_configuration(2, 42)
-        screen = _ProposalScreen(config)
-        classes = [list(cls) for cls in config.colours]
-        # repeat a colour-1 point in colour 0, keeping the origin the mean of
-        # colour 0: transversals through both copies have cofactors summing to 0
-        classes[0][0] = config.point(1, 0)
-        classes[0][2] = tuple(-classes[0][0][k] - classes[0][1][k] for k in range(2))
+        screen = _ProposalScreen(points)
+        classes = [list(cls) for cls in points]
+        classes[colour][0] = moved_to
         lp_calls = []
         origin_weights = depth_mod._origin_weights
 
@@ -163,24 +166,69 @@ class TestExactIncrementalDepth:
             return origin_weights(*args)
 
         monkeypatch.setattr(depth_mod, "_origin_weights", counted)
-        got = screen.lower_bound(classes, 0)
+        screen.lower_bound(classes, colour)
+        monkeypatch.setattr(depth_mod, "_origin_weights", origin_weights)
+        screen.invalidate_except()
+        return screen.table, classes, lp_calls
+
+    @staticmethod
+    def _check_transversal(table, classes, choice):
+        """The table's verdict on one transversal equals the exact LP's,
+        and its depth equals `colourful_depth`."""
+        from csdepth.depth import _origin_weights
+        from csdepth.search import _configuration
+
+        verts = [classes[c][j] for c, j in enumerate(choice)]
+        t = sum(j * len(choice) ** (len(choice) - 1 - c) for c, j in enumerate(choice))
+        assert table.choice(t) == choice
+        want = _origin_weights(verts, (1,) * len(verts)) is not None
+        assert bool(table.inside >> t & 1) == want
+        assert table.depth == colourful_depth(_configuration(len(choice) - 1, classes)).depth
+        return want
+
+    def test_rank_below_d_takes_the_lp(self, monkeypatch):
+        from csdepth.search import _numerators
+
+        points = _numerators(random_configuration(2, 42))
+        p = points[1][0]
+        # colour 2's point 0 on the line through colour 1's point 0, and
+        # colour 0's point 0 moved onto it: transversal (0, 0, 0) spans a
+        # line, so all its weights are 0 and only the LP decides it
+        points[2][0] = tuple(2 * e for e in p)
+        table, classes, lp_calls = self._propose_counting_lps(
+            monkeypatch, points, 0, tuple(-e for e in p))
+        assert not any(next(table.weights([0])))
         assert lp_calls
-        candidate = Configuration(2, tuple(tuple(cls) for cls in classes))
-        assert got == colourful_depth(candidate).depth
-        assert not validate(candidate).general_position
+        assert self._check_transversal(table, classes, (0, 0, 0))
+
+    def test_rank_d_weights_summing_to_0_are_outside_without_lp(self, monkeypatch):
+        from csdepth.search import _numerators
+
+        points = _numerators(random_configuration(2, 42))
+        # colour 0's point 0 repeats colour 1's point 0: each transversal
+        # through both copies has weights (a, -a, 0) with a != 0, and is
+        # decided outside by the cofactor rule, with no LP at all
+        table, classes, lp_calls = self._propose_counting_lps(
+            monkeypatch, points, 0, points[1][0])
+        assert not lp_calls
+        for j in range(3):
+            cs = next(table.weights([j]))
+            assert any(cs) and sum(cs) == 0
+            assert not self._check_transversal(table, classes, (0, 0, j))
 
     def test_violation_carries_the_counterexample(self, monkeypatch):
         import json
 
         import csdepth.search as search
 
-        config = random_configuration(2, 42)
-        screen = search._ProposalScreen(config)
-        classes = [list(cls) for cls in config.colours]
+        classes = search._numerators(random_configuration(2, 42))
+        screen = search._ProposalScreen(classes)
         monkeypatch.setattr(search, "theorem_bound", lambda d: 10 ** 6)
         with pytest.raises(ViolationError) as err:
             screen.lower_bound(classes, 0)
-        assert json.loads(err.value.counterexample)["d"] == 2
+        counterexample = json.loads(err.value.counterexample)
+        assert counterexample["d"] == 2
+        assert counterexample == configuration_to_json_dict(random_configuration(2, 42))
 
 
 class TestGoldenSearchDigests:
