@@ -19,9 +19,12 @@ from typing import Optional, Sequence
 try:
     # the lean builtin module, as `random` does for sha512: hashlib loads
     # OpenSSL, about 4 MB of resident memory in every CLI process
-    from _sha256 import sha256
-except ImportError:  # CPython 3.12 renamed it
-    from hashlib import sha256
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # its name before 3.12
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 from . import __version__
 from .configuration import (

@@ -15,7 +15,7 @@ verdict, only the convex/conic coefficients, which are unscaled afterwards.
 A family of cones (`_ConeFamily`) is one table read by bit masks over its
 facet normals: a point's `sides`, or an arrangement cell's own mask.  The
 colourful simplices of a configuration (`_MinorTable`) are read by bit
-masks over its transversals.
+masks over its transversals.  Both take their normals from `_span_normals`.
 """
 
 from __future__ import annotations
@@ -230,6 +230,12 @@ def _mask(bits: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+def _span_normals(classes: Sequence[Sequence[IntVec]], d: int) -> list[IntVec]:
+    """`normal_to_span` of one point of each of d-1 classes, for every choice
+    of points in lexicographic order; the zero vector where they span less."""
+    return [normal_to_span(rows, d) or (0,) * d for rows in itertools.product(*classes)]
+
+
 class _MinorTable:
     """Every colourful d×d minor of integer points, and the transversals
     whose closed simplices contain the origin, as bit masks.
@@ -252,13 +258,14 @@ class _MinorTable:
     mask of the containing transversals and `depth` its popcount.
 
     Minors are dot products: for colours i != c, a minor of colour i is
-    dot(p, N), p its colour-c point and N the signed `normal_to_span` of its
-    other d-1 rows, and the normals are cached per (i, c).  `propose` gives
-    the exact depth after replacing one colour's points and `commit` adopts
-    that change.  A move of colour c changes a set S of its points; only the
-    minors with a point of S as their colour-c row change, so only the bits
-    of the transversals through S are rewritten, and a commit recomputes
-    only the cached normals through S.
+    dot(p, N), p its colour-c point and N the `normal_to_span` of its other
+    d-1 rows, up to a sign of (i, c).  The normals are one list per colour
+    pair, read by (i, c) and (c, i) and built by `_span_normals`, the same
+    routine `_ConeFamily` uses.  `propose` gives the exact depth after
+    replacing one colour's points and `commit` adopts that change.  A move
+    of colour c changes a set S of its points; only the minors with a point
+    of S as their colour-c row change, so only the bits of the transversals
+    through S are rewritten, and a commit refreshes only the normals through S.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]]):
@@ -274,7 +281,7 @@ class _MinorTable:
         # full is the disjoint union of the shifts of the transversals with
         # colour-c point 0 by the comb of colour c
         self._point_zero = [full // comb for comb in self._combs]
-        self._normals: dict[tuple[int, int], tuple[list[IntVec], list[int], list[int], int]] = {}
+        self._normals, self._layouts = {}, {}  # by colour pair; by (i, c)
         self.minors, self.positive, self.negative = [], [], []
         for i in range(n):
             row = [0] * n ** d
@@ -296,54 +303,44 @@ class _MinorTable:
         return zip(*[[m[t // h * lo + t % lo] for t in ts]
                      for m, h, lo in zip(self.minors, self._high, self._low)])
 
-    def _normal(self, i: int, c: int, k: int) -> IntVec:
-        """Normal k of the table (i, c): to the points of the colours other
-        than i and c whose base-(d+1) digits are k, signed so that its dot
-        product with a colour-c point is their minor of colour i."""
-        d = self.dimension
-        n = d + 1
-        others = [o for o in range(n) if o not in (i, c)]
-        normal = normal_to_span([self.points[o][k // n ** (d - 2 - a) % n]
-                                 for a, o in enumerate(others)], d)
-        if normal is None:
-            return (0,) * d
-        pos = c if c < i else c - 1  # row of colour c among the colours != i
-        # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
-        # moving x from the last row to row pos takes d-1-pos swaps
-        sign = (1 if (n + i) % 2 == 0 else -1) * (-1) ** pos
-        return tuple([sign * e for e in normal])
+    def _pair_normals(self, a: int, b: int) -> list[IntVec]:
+        """The `_span_normals` of the colours other than a and b: one list
+        per colour pair, built on first use."""
+        pair = (min(a, b), max(a, b))
+        if pair not in self._normals:
+            self._normals[pair] = _span_normals(
+                [cls for o, cls in enumerate(self.points) if o not in pair], self.dimension)
+        return self._normals[pair]
 
-    def _normal_table(self, i: int, c: int) -> tuple[list[IntVec], list[int], list[int], int]:
-        """For the minors of colour i whose colour-c point varies: one
-        `_normal` per choice of the other d-1 colours' points, in
-        lexicographic order; the position in minors[i] of each one's minor
-        with colour-c point 0, and that minor's transversal with colour-i
-        point 0; and the stride that colour-c point j adds j times to the
-        position."""
-        cached = self._normals.get((i, c))
-        if cached is not None:
-            return cached
-        d = self.dimension
-        n = d + 1
-        stride = n ** (d - 1 - (c if c < i else c - 1))
-        lo = self._low[i]
-        starts = [k // stride * stride * n + k % stride for k in range(n ** (d - 1))]
-        table = ([self._normal(i, c, k) for k in range(n ** (d - 1))], starts,
-                 [s // lo * lo * n + s % lo for s in starts], stride)
-        self._normals[(i, c)] = table
-        return table
+    def _layout(self, i: int, c: int) -> tuple[int, list[int], list[int], int]:
+        """How minors[i] reads the pair {i, c}'s normals, built once per table:
+        the sign that makes normal k dotted with a colour-c point their minor;
+        the position of that minor with colour-c point 0 and its transversal
+        with colour-i point 0; and the stride colour-c point j adds j times."""
+        if (i, c) not in self._layouts:
+            n = len(self._low)
+            pos = c if c < i else c - 1  # row of colour c among the colours != i
+            stride = n ** (n - 2 - pos)
+            starts = [k // stride * stride * n + k % stride for k in range(n ** (n - 2))]
+            lo = self._low[i]
+            # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
+            # moving x from the last row to row pos takes d-1-pos swaps
+            self._layouts[(i, c)] = ((-1) ** (n + i + pos), starts,
+                                     [s // lo * lo * n + s % lo for s in starts], stride)
+        return self._layouts[(i, c)]
 
     def _rewrite(self, i: int, c: int, classes, moved, row: list[int]) -> tuple[int, int]:
         """Write into `row` (minors[i], or a proposal's copy) the minors of
         colour i through colour-c points `classes[c][j]`, j in moved, and
         return the masks of their transversals with weight i > 0 and < 0."""
-        normals, starts, bases, stride = self._normal_table(i, c)
+        sign, starts, bases, stride = self._layout(i, c)
+        normals = self._pair_normals(i, c)
         step = self._low[c]
         pos, neg = [], []
         for j in moved:
             p = classes[c][j]
             for normal, start, base in zip(normals, starts, bases):
-                m = vec_dot(p, normal)
+                m = sign * vec_dot(p, normal)
                 row[start + j * stride] = m
                 if m > 0:
                     pos.append(base + j * step)
@@ -394,21 +391,24 @@ class _MinorTable:
         return depth
 
     def commit(self) -> None:
-        """Adopt the last proposal, and recompute the cached normals through
-        the moved points."""
+        """Adopt the last proposal, and recompute each pair's normals through
+        the moved points, by `_span_normals` with the moved colour cut down
+        to one moved point."""
         (colour, moved, self.points, self.minors, self.positive, self.negative,
          self.lp, self.inside, self.depth) = self._pending
         self._pending = None
         n = self.dimension + 1
-        for (i, c), (normals, *_) in self._normals.items():
-            if colour in (i, c):
+        for pair, normals in self._normals.items():
+            if colour in pair:
                 continue
-            others = [o for o in range(n) if o not in (i, c)]
-            stride = n ** (n - 3 - others.index(colour))  # of colour's digit in k
+            classes = [cls for o, cls in enumerate(self.points) if o not in pair]
+            q = colour - (pair[0] < colour) - (pair[1] < colour)  # its place in classes
+            stride = n ** (n - 3 - q)  # of colour's digit in the list's order
             for j in moved:
-                for first in range(j * stride, len(normals), n * stride):
-                    for k in range(first, first + stride):
-                        normals[k] = self._normal(i, c, k)
+                classes[q] = [self.points[colour][j]]
+                fresh = _span_normals(classes, self.dimension)
+                for t, first in enumerate(range(j * stride, len(normals), n * stride)):
+                    normals[first:first + stride] = fresh[t * stride:(t + 1) * stride]
 
 
 def colourful_depth(config: Configuration) -> DepthReport:
@@ -464,11 +464,8 @@ class _ConeFamily:
         shared = []  # shared[i][rest]: primitive normal to points `rest` of the colours != i
         for i in range(d):
             others = ints[:i] + ints[i + 1:]
-            table = {}
-            for rest in itertools.product(*[range(len(c)) for c in others]):
-                n = normal_to_span([others[a][j] for a, j in enumerate(rest)], d)
-                table[rest] = None if n is None else primitive_normal(n)
-            shared.append(table)
+            prims = [primitive_normal(n) if any(n) else None for n in _span_normals(others, d)]
+            shared.append(dict(zip(itertools.product(*[range(len(c)) for c in others]), prims)))
         choices = list(itertools.product(*[range(len(cls)) for cls in classes]))
         self._tabulate(choices, [([ints[i][j] for i, j in enumerate(choice)],
                                   [shared[i][choice[:i] + choice[i + 1:]] for i in range(d)])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from csdepth import (
     generate_witnesses,
     random_configuration,
 )
+import csdepth.cli
 from csdepth.cli import main
 from csdepth.errors import ViolationError
 
@@ -303,6 +305,16 @@ class TestDeterminism:
         first = run_cli(capsys, "depth", str(path))
         second = run_cli(capsys, "depth", str(path))
         assert first == second
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython",
+                        reason="the builtin sha256 modules are CPython's")
+    def test_digest_skips_openssl(self):
+        """The digest comes from CPython's lean builtin module (`_sha256`,
+        renamed `_sha2` in 3.12), not from `hashlib`'s OpenSSL binding
+        `_hashlib`, and equals `hashlib.sha256` on a sample payload."""
+        assert csdepth.cli.sha256.__module__ != "_hashlib"
+        payload = b'{"depth":7,"witnesses":[]}' * 100
+        assert csdepth.cli.sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
 
 
 def _fail_if_called(what):

@@ -10,18 +10,21 @@ the line through two others)."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csdepth.depth
 from csdepth import (
     Configuration,
     colourful_depth,
     enumerate_transversals,
+    random_configuration,
     transversal_points,
     validate,
 )
-from csdepth.depth import _origin_weights
+from csdepth.depth import _MinorTable, _origin_weights
 from csdepth.exactgeom import scale_to_integers
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -119,6 +122,50 @@ class TestMinorTable:
     @given(configurations(3))
     def test_depth_d3(self, config):
         check_depth(config)
+
+
+def count_span_normals(monkeypatch) -> list:
+    """Record every `normal_to_span` call made from `csdepth.depth`."""
+    calls = []
+    original = csdepth.depth.normal_to_span
+    monkeypatch.setattr(csdepth.depth, "normal_to_span",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+class TestOneNormalListPerPair:
+    """The normals to points of the colours other than i and c give the
+    minors of colour i and of colour c alike, up to one sign, so the table
+    builds one list per colour pair {i, c}, not one per (i, c)."""
+
+    def test_depth_d4_builds_d_lists(self, monkeypatch):
+        d = 4
+        config = random_configuration(d, 3)
+        calls = count_span_normals(monkeypatch)
+        colourful_depth(config)
+        # colour 0 reads the list of the pair {0, 1}, colour i > 0 that of
+        # {0, i}: d pairs of (d+1)^(d-1) normals each
+        assert len(calls) == d * (d + 1) ** (d - 1) == 500
+
+    def test_table_after_moves_of_every_colour_holds_a_list_per_pair(self):
+        d = 3
+        rng = random.Random(11)
+
+        def point():
+            return tuple(rng.randint(-20, 20) for _ in range(d))
+
+        table = _MinorTable([[point() for _ in range(d + 1)] for _ in range(d + 1)])
+        for _ in range(2):
+            for colour in range(d + 1):
+                moved = list(table.points[colour])
+                moved[rng.randrange(d + 1)] = point()
+                table.propose(colour, moved)
+                table.commit()
+        assert len(table._normals) == comb(d + 1, 2) == 6
+        fresh = _MinorTable(table.points)
+        for pair, normals in table._normals.items():
+            assert normals == fresh._pair_normals(*pair)
+        assert table.depth == fresh.depth
 
 
 def planted_d4(seed: int):

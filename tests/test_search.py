@@ -127,8 +127,8 @@ class TestExactIncrementalDepth:
             assert self.table.lp == fresh.lp
             assert self.table.inside == fresh.inside
             assert self.table.depth == fresh.depth
-            for key, (normals, *_) in self.table._normals.items():
-                assert normals == fresh._normal_table(*key)[0]  # refreshed, not stale
+            for pair, normals in self.table._normals.items():
+                assert normals == fresh._pair_normals(*pair)  # refreshed, not stale
             seen["commits"] += 1
 
         monkeypatch.setattr(search._ProposalScreen, "lower_bound", checked_lower_bound)
