@@ -20,6 +20,7 @@ masks over its transversals.  Both take their normals from `_span_normals`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,6 +231,23 @@ def _mask(bits: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+# Times an int whose set bits are all at 8k + 7, this puts bit 8(8g + r) + 7
+# at bit 64g + 56 + r, so byte 8g + 7 of the product holds bits 8g .. 8g + 7
+# of the compact mask.  No two of its bits land on one place, so nothing carries.
+_GATHER = sum(1 << 7 * s for s in range(8))
+
+
+@functools.cache
+def _spread_table(offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """For each byte b below 2^len(offsets), the mask with bit offsets[r]
+    set for each set bit r of b."""
+    table = [0]
+    for offset in offsets:
+        bit = 1 << offset
+        table += [mask | bit for mask in table]
+    return tuple(table)
+
+
 def _span_normals(classes: Sequence[Sequence[IntVec]], d: int) -> list[IntVec]:
     """`normal_to_span` of one point of each of d-1 classes, for every choice
     of points in lexicographic order; the zero vector where they span less."""
@@ -266,6 +284,18 @@ class _MinorTable:
     of colour c changes a set S of its points; only the minors with a point
     of S as their colour-c row change, so only the bits of the transversals
     through S are rewritten, and a commit refreshes only the normals through S.
+
+    `propose` reads the signs of those minors without writing them down.
+    Each coordinate column of a pair's normals is packed into one int, a
+    slot of W bits per normal (Kronecker substitution, `_packed`), so
+    sum_a p_a * column_a holds every dot(p, N) in its slots: d multiply-adds
+    per moved point.  2^(W-1) bounds every |minor|, so adding 2^(W-1) to
+    each slot, or 2^(W-1) - 1, carries across no slot, and the top bit of a
+    slot is then minor >= 0, or minor >= 1: exact signs, zeros included.
+    Per-byte tables (`_spread_table`) move those bits to the transversals.
+    `commit` writes the moved points' minors by dot products (`_rewrite`)
+    and raises AssertionError unless their signs are the proposal's, so each
+    accepted move checks the packed signs against plain arithmetic.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]]):
@@ -281,7 +311,10 @@ class _MinorTable:
         # full is the disjoint union of the shifts of the transversals with
         # colour-c point 0 by the comb of colour c
         self._point_zero = [full // comb for comb in self._combs]
-        self._normals, self._layouts = {}, {}  # by colour pair; by (i, c)
+        self._slots = n ** (n - 2)  # normals per pair
+        self._high_bits = int.from_bytes(b"\x80" * self._slots, "little")  # 8k + 7, k < slots
+        # by colour pair: normals, packed normals; by (i, c): layouts, chunks
+        self._normals, self._packings, self._layouts, self._spreads = {}, {}, {}, {}
         self.minors, self.positive, self.negative = [], [], []
         for i in range(n):
             row = [0] * n ** d
@@ -321,7 +354,7 @@ class _MinorTable:
             n = len(self._low)
             pos = c if c < i else c - 1  # row of colour c among the colours != i
             stride = n ** (n - 2 - pos)
-            starts = [k // stride * stride * n + k % stride for k in range(n ** (n - 2))]
+            starts = [k // stride * stride * n + k % stride for k in range(self._slots)]
             lo = self._low[i]
             # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
             # moving x from the last row to row pos takes d-1-pos swaps
@@ -329,8 +362,83 @@ class _MinorTable:
                                      [s // lo * lo * n + s % lo for s in starts], stride)
         return self._layouts[(i, c)]
 
+    def _chunks(self, i: int, c: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Per byte of the pair {i, c}'s normals, the transversal of its
+        first (as in `_layout`) and the `_spread_table` of the transversals
+        of all eight relative to that one; built on first use."""
+        if (i, c) not in self._spreads:
+            bases = self._layout(i, c)[2]
+            self._spreads[(i, c)] = [
+                (bases[g], _spread_table(tuple(b - bases[g] for b in bases[g:g + 8])))
+                for g in range(0, self._slots, 8)]
+        return self._spreads[(i, c)]
+
+    def _packed(self, i: int, c: int, bits: int) -> tuple[int, int, list[int], int, int]:
+        """The pair {i, c}'s normals packed column by column, one slot of
+        8w bits per normal, wide enough for the minors of points whose
+        coordinates have at most `bits` bits: (bits, w, the d columns, and
+        the biases 2^(8w-1) and 2^(8w-1) - 1 in every slot).  Packed on
+        first use, and again when a point has more bits or a commit
+        refreshed the normals."""
+        pair = (min(i, c), max(i, c))
+        packed = self._packings.get(pair)
+        if packed is None or packed[0] < bits:
+            bits = max(bits, max(abs(x) for cls in self.points for p in cls for x in p).bit_length())
+            normals = self._pair_normals(i, c)
+            top = max(abs(x) for normal in normals for x in normal).bit_length()
+            # |minor| <= d * max|p| * max|N| < 2^(8w-1)
+            w = (self.dimension.bit_length() + bits + top + 8) // 8
+            width = 8 * w
+            columns = []
+            for a in range(self.dimension):
+                # slots in two's complement, less the borrow of each negative one
+                twos = b"".join([normal[a].to_bytes(w, "little", signed=True) for normal in normals])
+                borrows = _mask([width * (k + 1) for k, normal in enumerate(normals) if normal[a] < 0],
+                                width * (self._slots + 1))
+                columns.append(int.from_bytes(twos, "little") - borrows)
+            ones = int.from_bytes((b"\x01" + bytes(w - 1)) * self._slots, "little")
+            half = ones << width - 1
+            packed = self._packings[pair] = (bits, w, columns, half, half - ones)
+        return packed
+
+    def _top_bits_of(self, total: int, w: int) -> int:
+        """Bit 8k + 7 of the result is the top bit of slot k of `total`."""
+        top = total.to_bytes(w * self._slots, "little")[w - 1::w]
+        return int.from_bytes(top, "little") & self._high_bits
+
+    def _spread(self, top_bits: int, chunks) -> int:
+        """The transversal bits of the slots whose top bits are set."""
+        mask = 0
+        compact = (top_bits * _GATHER).to_bytes(self._slots + 7, "little")[7::8]
+        for byte, (first, table) in zip(compact, chunks):
+            if byte:
+                mask |= table[byte] << first
+        return mask
+
+    def _signs(self, i: int, c: int, points, moved, bits: int) -> tuple[int, int]:
+        """The masks `_rewrite` returns for colour-c points `points[j]`, j in
+        moved, of at most `bits` bits, read from the pair's packed normals."""
+        sign = self._layout(i, c)[0]
+        chunks = self._chunks(i, c)
+        _, w, columns, ge_bias, gt_bias = self._packed(i, c, bits)
+        step = self._low[c]
+        pos = neg = 0
+        for j in moved:
+            total = 0
+            for x, column in zip(points[j], columns):
+                total += x * column
+            ge = self._top_bits_of(total + ge_bias, w)
+            above = self._top_bits_of(total + gt_bias, w)
+            below = ge ^ self._high_bits
+            if sign < 0:
+                above, below = below, above
+            pos |= self._spread(above, chunks) << j * step
+            neg |= self._spread(below, chunks) << j * step
+        comb = self._combs[i]
+        return pos * comb, neg * comb
+
     def _rewrite(self, i: int, c: int, classes, moved, row: list[int]) -> tuple[int, int]:
-        """Write into `row` (minors[i], or a proposal's copy) the minors of
+        """Write into `row` (minors[i], or a commit's copy) the minors of
         colour i through colour-c points `classes[c][j]`, j in moved, and
         return the masks of their transversals with weight i > 0 and < 0."""
         sign, starts, bases, stride = self._layout(i, c)
@@ -373,31 +481,42 @@ class _MinorTable:
         moved = [j for j in range(n) if points[j] != self.points[colour][j]]
         classes = list(self.points)
         classes[colour] = list(points)
-        minors = list(self.minors)
         positive = list(self.positive)
         negative = list(self.negative)
         through = 0
-        for j in moved:
-            through |= self._point_zero[colour] << j * self._low[colour]
+        if moved:
+            bits = max(abs(x) for j in moved for x in points[j]).bit_length()
+            for j in moved:
+                through |= self._point_zero[colour] << j * self._low[colour]
+            for i in range(n):
+                if i != colour:
+                    pos, neg = self._signs(i, colour, points, moved, bits)
+                    positive[i] = positive[i] & ~through | pos
+                    negative[i] = negative[i] & ~through | neg
+        lp, inside = self._decide(positive, negative, classes, through, self.lp)
+        depth = inside.bit_count()
+        self._pending = (colour, moved, through, classes, positive, negative, lp, inside, depth)
+        return depth
+
+    def commit(self) -> None:
+        """Adopt the last proposal: write the moved points' minors by dot
+        products, and raise AssertionError unless their signs are the
+        proposal's; then recompute each pair's normals through the moved
+        points, by `_span_normals` with the moved colour cut down to one
+        moved point."""
+        colour, moved, through, classes, positive, negative, lp, inside, depth = self._pending
+        self._pending = None
+        n = self.dimension + 1
+        minors = list(self.minors)
         for i in range(n):
             if i != colour:
                 row = minors[i] = list(minors[i])
                 pos, neg = self._rewrite(i, colour, classes, moved, row)
-                positive[i] = positive[i] & ~through | pos
-                negative[i] = negative[i] & ~through | neg
-        lp, inside = self._decide(positive, negative, classes, through, self.lp)
-        depth = inside.bit_count()
-        self._pending = (colour, moved, classes, minors, positive, negative, lp, inside, depth)
-        return depth
-
-    def commit(self) -> None:
-        """Adopt the last proposal, and recompute each pair's normals through
-        the moved points, by `_span_normals` with the moved colour cut down
-        to one moved point."""
-        (colour, moved, self.points, self.minors, self.positive, self.negative,
-         self.lp, self.inside, self.depth) = self._pending
-        self._pending = None
-        n = self.dimension + 1
+                if pos != positive[i] & through or neg != negative[i] & through:
+                    raise AssertionError(
+                        f"packed minor signs of colour {i} disagree with their dot products")
+        (self.points, self.minors, self.positive, self.negative,
+         self.lp, self.inside, self.depth) = classes, minors, positive, negative, lp, inside, depth
         for pair, normals in self._normals.items():
             if colour in pair:
                 continue
@@ -409,6 +528,7 @@ class _MinorTable:
                 fresh = _span_normals(classes, self.dimension)
                 for t, first in enumerate(range(j * stride, len(normals), n * stride)):
                     normals[first:first + stride] = fresh[t * stride:(t + 1) * stride]
+                self._packings.pop(pair, None)
 
 
 def colourful_depth(config: Configuration) -> DepthReport:

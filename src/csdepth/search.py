@@ -7,22 +7,27 @@ and sits strictly inside its hull.  Descent proposals replace one uniformly
 chosen point with a fresh sample, repairing the anchor (when a non-anchor
 point moved) or rejecting the proposal (when moving the anchor itself would
 evict the origin), so every configuration ever evaluated keeps the origin in
-its core.  That hull test reads the cofactor signs of the moved class
-(`origin_in_convex_hull`), with no LP unless they are all 0.
+its core.  That hull test reads the signs of the moved class's cofactors
+(`_cofactor_verdict`), with no LP unless they are all 0: the class keeps
+its cofactors and their gradients (`_hull_cofactors`), in which the
+cofactors of a one-point replacement are linear, so the test costs d+1 dot
+products; the exact LP is `origin_in_convex_hull`'s.
 
 Every sampled coordinate is an integer numerator over 2^16, and the
 descent keeps points as those integer vectors; `Fraction`s are made only
-for the tripwire's `Configuration`, a bound violation's counterexample and
-the output.  Each proposal is evaluated exactly and incrementally: its
-depth is updated from the incumbent's minor table, recomputing only the
-minors through the moved points and rewriting only the sign bits of the
-transversals through them (`_ProposalScreen`).  A proposal is
-accepted iff that depth is below the incumbent's; an accepted one is
-recounted from scratch by `colourful_depth` as a tripwire, and the two
-counts must agree.  Every depth, incremental or full, is checked against
-the proven lower bound; a violation aborts the search with the offending
-configuration attached, since it would be a counterexample to the bound or
-a defect in the predicates underneath.
+for a bound violation's counterexample and the output.  Each proposal is
+evaluated exactly and incrementally: its depth is updated from the
+incumbent's minor table, reading the signs of only the minors through the
+moved points and rewriting only the sign bits of the transversals through
+them (`_ProposalScreen`).  A proposal is accepted iff that depth is below
+the incumbent's; an accepted one is recounted from scratch by a fresh
+`_MinorTable`, whose dot products share no arithmetic with the packed
+signs of a proposal, as a tripwire, and the two counts must agree; its
+commit checks those packed signs against dot products too.  Every depth,
+incremental or full, is checked against the proven lower bound; a
+violation aborts the search with the offending configuration attached,
+since it would be a counterexample to the bound or a defect in the
+predicates underneath.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from .configuration import (
     configuration_to_json_dict,
     validate,
 )
-from .depth import _MinorTable, colourful_depth, origin_in_convex_hull
+from .depth import _cofactor_verdict, _MinorTable, origin_in_convex_hull
 from .errors import InputError, ViolationError
-from .exactgeom import IntVec
+from .exactgeom import IntVec, normal_to_span, vec_dot
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -128,11 +133,41 @@ def _check_bound(d: int, depth: int, points: Sequence[Sequence[IntVec]]) -> None
 def _checked_depth(d: int, points: Sequence[Sequence[IntVec]],
                    table: Optional[_MinorTable] = None) -> int:
     """The colourful depth of the points (numerators over 2^16), read from
-    their minor table when given and counted by `colourful_depth`
-    otherwise, checked against the bound."""
-    depth = colourful_depth(_configuration(d, points)).depth if table is None else table.depth
+    their minor table when given and counted by a fresh one otherwise,
+    checked against the bound."""
+    depth = (_MinorTable(points) if table is None else table).depth
     _check_bound(d, depth, points)
     return depth
+
+
+def _hull_cofactors(cls: Sequence[IntVec], d: int
+                    ) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
+    """The cofactors of a class of d+1 points (`origin_in_convex_hull`
+    reads their signs), and for each point j their gradient in it: entry k
+    != j of the cofactors with point j replaced by p is dot(p, gradient[j][k]),
+    since it is a determinant with p as one column; entry j does not read p."""
+    def cofactors(points):
+        columns = [tuple(p[a] for p in points) for a in range(d)]
+        return normal_to_span(columns, d + 1) or (0,) * (d + 1)
+
+    gradients = []
+    for j in range(d + 1):
+        units = [cofactors(cls[:j] + [tuple(int(a == b) for b in range(d))] + cls[j + 1:])
+                 for a in range(d)]
+        gradients.append(list(zip(*units)))
+    return cofactors(cls), gradients
+
+
+def _contains_origin_after(hull, cls: Sequence[IntVec], index: int) -> bool:
+    """Whether the hull of `cls` contains the origin, where `hull` is
+    `_hull_cofactors` of the same class before point `index` became
+    cls[index]: by the signs of the updated cofactors, or by
+    `origin_in_convex_hull` when they are all 0."""
+    cofactors, gradients = hull
+    p = cls[index]
+    verdict = _cofactor_verdict([c if k == index else vec_dot(p, g)
+                                 for k, (c, g) in enumerate(zip(cofactors, gradients[index]))])
+    return origin_in_convex_hull(tuple(cls)) if verdict is None else verdict
 
 
 class _ProposalScreen:
@@ -183,6 +218,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
         points = _numerators(random_configuration(d, child_seed))
         rng = random.Random(child_seed ^ 0x9E3779B9)
         screen = _ProposalScreen(points)
+        hulls = [_hull_cofactors(cls, d) for cls in points]
         depth = _checked_depth(d, points, screen.table)
         history.append((r, 0, depth))
         iteration = 0
@@ -192,27 +228,29 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
             colour = rng.randrange(d + 1)
             index = rng.randrange(d + 1)
             fresh = _sample_numerators(d, rng)
-            candidate = [cls[:] for cls in points]
-            candidate[colour][index] = fresh
-            if not origin_in_convex_hull(tuple(candidate[colour])):
+            cls = points[colour][:]
+            cls[index] = fresh
+            if not _contains_origin_after(hulls[colour], cls, index):
                 if index == d:
                     # the anchor itself evicted the origin: nothing to repair
                     rejected += 1
                     continue
                 # pull the origin back as the mean of the class
-                candidate[colour][d] = tuple(
-                    -sum(p[k] for p in candidate[colour][:d]) for k in range(d))
+                cls[d] = tuple(-sum(p[k] for p in cls[:d]) for k in range(d))
+            candidate = points[:]
+            candidate[colour] = cls
             trial_depth = screen.lower_bound(candidate, colour)
             if trial_depth >= depth:
                 rejected += 1
                 continue
             if _checked_depth(d, candidate) != trial_depth:
                 raise AssertionError(
-                    f"incremental depth {trial_depth} disagrees with colourful_depth")
+                    f"incremental depth {trial_depth} disagrees with a fresh minor table")
             points = candidate
             depth = trial_depth
             history.append((r, iteration, depth))
             screen.invalidate_except()
+            hulls[colour] = _hull_cofactors(cls, d)
         if best_depth is None or depth < best_depth:
             best_depth = depth
             best_config = _configuration(d, points)

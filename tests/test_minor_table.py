@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,112 @@ class TestPencilSweep:
         assert on_plane in witnesses
         assert any(len(s) == 5 and repeated <= set(s) for s in witnesses)
         assert any(len(s) == 4 and origin in s for s in witnesses)
+
+
+def integer_points(draw, d: int, count: int, bits: int) -> list:
+    """Points with coordinates of at most `bits` bits."""
+    coord = st.integers(1 - (1 << bits), (1 << bits) - 1)
+    return [tuple(draw(coord) for _ in range(d)) for _ in range(count)]
+
+
+def check_proposal(table: _MinorTable, colour: int, points: list) -> None:
+    """Each colour's packed signs for the proposal equal the signs of the
+    dot products `_rewrite` computes, the commit accepts them, and the
+    committed table equals a fresh table of the new points."""
+    n = table.dimension + 1
+    moved = [j for j in range(n) if points[j] != table.points[colour][j]]
+    classes = list(table.points)
+    classes[colour] = points
+    bits = max((abs(x) for j in moved for x in points[j]), default=0).bit_length()
+    for i in range(n):
+        if i != colour:
+            want = table._rewrite(i, colour, classes, moved, list(table.minors[i]))
+            assert table._signs(i, colour, points, moved, bits) == want
+    depth = table.propose(colour, points)
+    table.commit()
+    fresh = _MinorTable(classes)
+    assert table.points == fresh.points
+    assert table.minors == fresh.minors
+    assert (table.positive, table.negative) == (fresh.positive, fresh.negative)
+    assert (table.lp, table.inside) == (fresh.lp, fresh.inside)
+    assert depth == table.depth == fresh.depth
+
+
+class TestPackedSigns:
+    """`propose` reads minor signs from the top bits of packed slots; the
+    reference is the dot products of the same points and normals, and a
+    fresh table.  Draws reach 2^200, plant zero minors (a moved point that
+    is 0 or a multiple of another colour's point), read normals that a
+    commit of another colour refreshed, move a point to more bits than the
+    packing allows, which forces a repack, and move no point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_packed_signs_equal_dot_product_signs(self, data):
+        d = data.draw(st.integers(1, 4), label="d")
+        n = d + 1
+        small = data.draw(st.integers(1, 100), label="small bits")
+        # multiples by -3 below reach small + 2 bits
+        big = data.draw(st.integers(small + 3, 200), label="big bits")
+        pts = integer_points(data.draw, d, n * n, small)
+        table = _MinorTable([pts[k * n:(k + 1) * n] for k in range(n)])
+        colour = data.draw(st.integers(0, d), label="colour")
+
+        # planted zero minors: a multiple of a point of another colour
+        moved = list(table.points[colour])
+        for j, p in zip(data.draw(st.permutations(range(n)))[:2],
+                        integer_points(data.draw, d, 2, small)):
+            other = data.draw(st.integers(0, d).filter(lambda o: o != colour))
+            k = data.draw(st.sampled_from([None, 0, 1, -3]))
+            moved[j] = p if k is None else tuple(k * x for x in table.points[other][j])
+        check_proposal(table, colour, moved)
+
+        # a move of another colour refreshes the normals the next proposal
+        # of this colour reads, and they must be packed again
+        for c in (data.draw(st.integers(0, d).filter(lambda o: o != colour)), colour):
+            moved = list(table.points[c])
+            moved[data.draw(st.integers(0, d))] = integer_points(data.draw, d, 1, small)[0]
+            check_proposal(table, c, moved)
+
+        # a point of more bits than every point the packing has seen
+        pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
+        assert all(table._packings.get(pair, (0,))[0] < big for pair in pairs)
+        moved = list(table.points[colour])
+        j = data.draw(st.integers(0, d))
+        moved[j] = ((1 << big - 1) + data.draw(st.integers(0, (1 << big - 1) - 1)),
+                    *integer_points(data.draw, d, 1, big)[0][1:])
+        check_proposal(table, colour, moved)
+        assert all(table._packings[pair][0] >= big for pair in pairs)
+
+        # a proposal that moves no point
+        before = table.inside
+        check_proposal(table, colour, list(table.points[colour]))
+        assert table.inside == before
+
+    def test_commit_catches_a_flipped_sign(self, monkeypatch):
+        d = 3
+        rng = random.Random(5)
+
+        def point():
+            return tuple(rng.randint(-20, 20) for _ in range(d))
+
+        points = [[point() for _ in range(d + 1)] for _ in range(d + 1)]
+        moved = list(points[1])
+        moved[2] = point()
+        table = _MinorTable(points)
+        table.propose(1, moved)
+        table.commit()  # the unflipped kernel agrees
+
+        top_bits_of = _MinorTable._top_bits_of
+        calls = []
+
+        def flipped(self, total, w):
+            calls.append(w)
+            bits = top_bits_of(self, total, w)
+            return bits ^ 0x80 if len(calls) == 1 else bits  # slot 0, first read
+
+        monkeypatch.setattr(_MinorTable, "_top_bits_of", flipped)
+        table = _MinorTable(points)
+        table.propose(1, moved)
+        with pytest.raises(AssertionError, match="packed minor signs"):
+            table.commit()

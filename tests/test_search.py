@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdepth import (
     InputError,
@@ -6,6 +8,7 @@ from csdepth import (
     colourful_depth,
     configuration_to_json_dict,
     minimize_depth,
+    origin_in_convex_hull,
     random_configuration,
     theorem_bound,
     validate,
@@ -229,6 +232,43 @@ class TestExactIncrementalDepth:
         counterexample = json.loads(err.value.counterexample)
         assert counterexample["d"] == 2
         assert counterexample == configuration_to_json_dict(random_configuration(2, 42))
+
+
+class TestIncrementalHullTest:
+    """A proposal's hull test updates the incumbent class's cofactors,
+    linear in the moved point, instead of recomputing them; its verdict
+    equals `origin_in_convex_hull` of the new class, and only cofactors
+    that are all 0 (planted: every point, the new one included, with last
+    coordinate 0) take that function's exact LP."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_origin_in_convex_hull(self, data):
+        import csdepth.search as search
+        from csdepth.exactgeom import normal_to_span
+
+        d = data.draw(st.integers(1, 4), label="d")
+        coord = st.integers(-40, 40)
+        cls = [tuple(data.draw(coord) for _ in range(d)) for _ in range(d + 1)]
+        index = data.draw(st.integers(0, d), label="index")
+        p = tuple(data.draw(coord) for _ in range(d))
+        if data.draw(st.booleans(), label="plant"):
+            cls = [q[:-1] + (0,) for q in cls]
+            p = p[:-1] + (0,)
+        hull = search._hull_cofactors(cls, d)
+        moved = cls[:index] + [p] + cls[index + 1:]
+        columns = [tuple(q[a] for q in moved) for a in range(d)]
+        all_zero = normal_to_span(columns, d + 1) is None
+
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "origin_in_convex_hull",
+                          lambda pts: calls.append(pts) or origin_in_convex_hull(pts))
+            got = search._contains_origin_after(hull, moved, index)
+        assert got == origin_in_convex_hull(moved)
+        assert bool(calls) == all_zero
+        if all(q[-1] == 0 for q in moved):
+            assert all_zero
 
 
 class TestGoldenSearchDigests:
