@@ -103,6 +103,13 @@ def _origin_weights(ints: Sequence[IntVec], strict: IntVec) -> Optional[Point]:
     return max_slack_point(rows, n)
 
 
+def _cofactors(points: Sequence[IntVec]) -> tuple[int, ...]:
+    """The cofactors of d+1 integer points in dimension d: the
+    `normal_to_span` of their coordinate columns, so that sum_i cs_i v_i = 0,
+    or all 0 when the columns span less than d dimensions."""
+    return normal_to_span(list(zip(*points)), len(points)) or (0,) * len(points)
+
+
 def _cofactor_verdict(cs: Sequence[int]) -> Optional[bool]:
     """Closed containment of the origin in the hull of d+1 vertices with
     weights `cs` (see `_contains_origin_scaled`): the origin is inside iff
@@ -162,8 +169,7 @@ def simplex_contains_origin(vertices: Sequence[Point]
         if len(v) != d:
             raise InputError(f"expected {d} coordinates per vertex, got {len(v)}")
     scaled = [scale_to_integers(v) for v in vertices]
-    columns = [tuple(v[k] for v, _ in scaled) for k in range(d)]
-    return _contains_origin_scaled(scaled, normal_to_span(columns, d + 1) or (0,) * (d + 1))
+    return _contains_origin_scaled(scaled, _cofactors([v for v, _ in scaled]))
 
 
 def origin_in_convex_hull(points: Sequence[Point]) -> bool:
@@ -179,8 +185,7 @@ def origin_in_convex_hull(points: Sequence[Point]) -> bool:
     scaled = [scale_to_integers(p)[0] for p in points]
     d = len(scaled[0])
     if len(scaled) == d + 1:
-        columns = [tuple(v[k] for v in scaled) for k in range(d)]
-        verdict = _cofactor_verdict(normal_to_span(columns, d + 1) or (0,) * (d + 1))
+        verdict = _cofactor_verdict(_cofactors(scaled))
         if verdict is not None:
             return verdict
     elif len(scaled) == d and int_det(scaled) != 0:
@@ -254,9 +259,37 @@ def _span_normals(classes: Sequence[Sequence[IntVec]], d: int) -> list[IntVec]:
     return [normal_to_span(rows, d) or (0,) * d for rows in itertools.product(*classes)]
 
 
+@functools.cache
+def _layout(n: int, i: int, c: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """How the minors of colour i of n colours read the pair {i, c}'s
+    normals: the sign that makes normal k dotted with a colour-c point
+    their minor; the position of that minor with colour-c point 0 and its
+    transversal with colour-i point 0; and the stride colour-c point j adds
+    j times."""
+    pos = c if c < i else c - 1  # row of colour c among the colours != i
+    stride = n ** (n - 2 - pos)
+    starts = tuple(k // stride * stride * n + k % stride for k in range(n ** (n - 2)))
+    lo = n ** (n - 1 - i)
+    # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
+    # moving x from the last row to row pos takes d-1-pos swaps
+    return ((-1) ** (n + i + pos), starts,
+            tuple(s // lo * lo * n + s % lo for s in starts), stride)
+
+
+@functools.cache
+def _chunks(n: int, i: int, c: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per byte of the pair {i, c}'s normals, the transversal of its first
+    (as in `_layout`) and the `_spread_table` of the transversals of all
+    eight relative to that one."""
+    bases = _layout(n, i, c)[2]
+    return tuple((bases[g], _spread_table(tuple(b - bases[g] for b in bases[g:g + 8])))
+                 for g in range(0, len(bases), 8))
+
+
 class _MinorTable:
     """Every colourful d×d minor of integer points, and the transversals
-    whose closed simplices contain the origin, as bit masks.
+    whose closed simplices contain the origin, as bit masks.  Once built, a
+    table never changes its minors or masks.
 
     `points[c][j]` is point (c, j).  `minors[i]` lists the signed minors for
     colour i, the points of the other colours chosen in lexicographic
@@ -279,26 +312,32 @@ class _MinorTable:
     dot(p, N), p its colour-c point and N the `normal_to_span` of its other
     d-1 rows, up to a sign of (i, c).  The normals are one list per colour
     pair, read by (i, c) and (c, i) and built by `_span_normals`, the same
-    routine `_ConeFamily` uses.  `propose` gives the exact depth after
-    replacing one colour's points and `commit` adopts that change.  A move
-    of colour c changes a set S of its points; only the minors with a point
-    of S as their colour-c row change, so only the bits of the transversals
-    through S are rewritten, and a commit refreshes only the normals through S.
+    routine `_ConeFamily` uses.  Colour i reads the first pair {i, c} whose
+    list the table was given, or else {i, i^1} ({0, d} for i = d even), so
+    a table of its own builds ceil((d+1)/2) lists.
 
-    `propose` reads the signs of those minors without writing them down.
-    Each coordinate column of a pair's normals is packed into one int, a
-    slot of W bits per normal (Kronecker substitution, `_packed`), so
-    sum_a p_a * column_a holds every dot(p, N) in its slots: d multiply-adds
-    per moved point.  2^(W-1) bounds every |minor|, so adding 2^(W-1) to
-    each slot, or 2^(W-1) - 1, carries across no slot, and the top bit of a
-    slot is then minor >= 0, or minor >= 1: exact signs, zeros included.
-    Per-byte tables (`_spread_table`) move those bits to the transversals.
-    `commit` writes the moved points' minors by dot products (`_rewrite`)
-    and raises AssertionError unless their signs are the proposal's, so each
-    accepted move checks the packed signs against plain arithmetic.
+    `propose` gives the exact depth after replacing one colour's points.  A
+    move of colour c changes a set S of its points; only the minors with a
+    point of S as their colour-c row change, so only the bits of the
+    transversals through S are rewritten.  `propose` reads the signs of
+    those minors without writing them down.  Each coordinate column of a
+    pair's normals is packed into one int, a slot of W bits per normal
+    (Kronecker substitution, `_packed`), so sum_a p_a * column_a holds every
+    dot(p, N) in its slots: d multiply-adds per moved point.  2^(W-1) bounds
+    every |minor|, so adding 2^(W-1) to each slot, or 2^(W-1) - 1, carries
+    across no slot, and the top bit of a slot is then minor >= 0, or
+    minor >= 1: exact signs, zeros included.  Per-byte tables
+    (`_spread_table`) move those bits to the transversals.
+
+    `successor` is the table of the last proposal's points, built by dot
+    products: it is the tripwire, and raises AssertionError unless its
+    masks are the proposal's.  It takes the lists of the pairs with the
+    moved colour c as they are, since the normals of a pair {c, b} span
+    points of the other colours; no list is written after it is built.
     """
 
-    def __init__(self, points: Sequence[Sequence[IntVec]]):
+    def __init__(self, points: Sequence[Sequence[IntVec]],
+                 normals: Optional[dict[tuple[int, int], list[IntVec]]] = None):
         d = len(points) - 1
         n = d + 1
         self.dimension = d
@@ -313,13 +352,15 @@ class _MinorTable:
         self._point_zero = [full // comb for comb in self._combs]
         self._slots = n ** (n - 2)  # normals per pair
         self._high_bits = int.from_bytes(b"\x80" * self._slots, "little")  # 8k + 7, k < slots
-        # by colour pair: normals, packed normals; by (i, c): layouts, chunks
-        self._normals, self._packings, self._layouts, self._spreads = {}, {}, {}, {}
+        self._normals = dict(normals or {})  # by colour pair
+        self._packings = {}  # by colour pair
         self.minors, self.positive, self.negative = [], [], []
         for i in range(n):
-            row = [0] * n ** d
-            # any colour c != i gives the minors of colour i as dot products
-            pos, neg = self._rewrite(i, 1 if i == 0 else 0, self.points, range(n), row)
+            # any colour c != i gives the minors of colour i as dot products:
+            # the first pair {i, c} held, else {i, i^1}, or {0, d} for i = d
+            c = next((c for c in range(n) if c != i and (min(i, c), max(i, c)) in self._normals),
+                     i ^ 1 if i ^ 1 < n else 0)
+            row, pos, neg = self._rewrite(i, c)
             self.minors.append(row)
             self.positive.append(pos)
             self.negative.append(neg)
@@ -345,41 +386,12 @@ class _MinorTable:
                 [cls for o, cls in enumerate(self.points) if o not in pair], self.dimension)
         return self._normals[pair]
 
-    def _layout(self, i: int, c: int) -> tuple[int, list[int], list[int], int]:
-        """How minors[i] reads the pair {i, c}'s normals, built once per table:
-        the sign that makes normal k dotted with a colour-c point their minor;
-        the position of that minor with colour-c point 0 and its transversal
-        with colour-i point 0; and the stride colour-c point j adds j times."""
-        if (i, c) not in self._layouts:
-            n = len(self._low)
-            pos = c if c < i else c - 1  # row of colour c among the colours != i
-            stride = n ** (n - 2 - pos)
-            starts = [k // stride * stride * n + k % stride for k in range(self._slots)]
-            lo = self._low[i]
-            # dot(x, normal_to_span(rows)) = (-1)^(d-1) det(rows + [x]), and
-            # moving x from the last row to row pos takes d-1-pos swaps
-            self._layouts[(i, c)] = ((-1) ** (n + i + pos), starts,
-                                     [s // lo * lo * n + s % lo for s in starts], stride)
-        return self._layouts[(i, c)]
-
-    def _chunks(self, i: int, c: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Per byte of the pair {i, c}'s normals, the transversal of its
-        first (as in `_layout`) and the `_spread_table` of the transversals
-        of all eight relative to that one; built on first use."""
-        if (i, c) not in self._spreads:
-            bases = self._layout(i, c)[2]
-            self._spreads[(i, c)] = [
-                (bases[g], _spread_table(tuple(b - bases[g] for b in bases[g:g + 8])))
-                for g in range(0, self._slots, 8)]
-        return self._spreads[(i, c)]
-
     def _packed(self, i: int, c: int, bits: int) -> tuple[int, int, list[int], int, int]:
         """The pair {i, c}'s normals packed column by column, one slot of
         8w bits per normal, wide enough for the minors of points whose
         coordinates have at most `bits` bits: (bits, w, the d columns, and
         the biases 2^(8w-1) and 2^(8w-1) - 1 in every slot).  Packed on
-        first use, and again when a point has more bits or a commit
-        refreshed the normals."""
+        first use, and again when a point has more bits."""
         pair = (min(i, c), max(i, c))
         packed = self._packings.get(pair)
         if packed is None or packed[0] < bits:
@@ -416,10 +428,12 @@ class _MinorTable:
         return mask
 
     def _signs(self, i: int, c: int, points, moved, bits: int) -> tuple[int, int]:
-        """The masks `_rewrite` returns for colour-c points `points[j]`, j in
-        moved, of at most `bits` bits, read from the pair's packed normals."""
-        sign = self._layout(i, c)[0]
-        chunks = self._chunks(i, c)
+        """The masks of the transversals with weight i > 0 and < 0 through
+        colour-c points `points[j]`, j in moved, of at most `bits` bits,
+        read from the pair's packed normals."""
+        n = self.dimension + 1
+        sign = _layout(n, i, c)[0]
+        chunks = _chunks(n, i, c)
         _, w, columns, ge_bias, gt_bias = self._packed(i, c, bits)
         step = self._low[c]
         pos = neg = 0
@@ -437,16 +451,17 @@ class _MinorTable:
         comb = self._combs[i]
         return pos * comb, neg * comb
 
-    def _rewrite(self, i: int, c: int, classes, moved, row: list[int]) -> tuple[int, int]:
-        """Write into `row` (minors[i], or a commit's copy) the minors of
-        colour i through colour-c points `classes[c][j]`, j in moved, and
-        return the masks of their transversals with weight i > 0 and < 0."""
-        sign, starts, bases, stride = self._layout(i, c)
+    def _rewrite(self, i: int, c: int) -> tuple[list[int], int, int]:
+        """The minors of colour i, as dot products of the colour-c points
+        with the pair {i, c}'s normals, and the masks of their transversals
+        with weight i > 0 and < 0."""
+        n = self.dimension + 1
+        sign, starts, bases, stride = _layout(n, i, c)
         normals = self._pair_normals(i, c)
         step = self._low[c]
+        row = [0] * n ** self.dimension
         pos, neg = [], []
-        for j in moved:
-            p = classes[c][j]
+        for j, p in enumerate(self.points[c]):
             for normal, start, base in zip(normals, starts, bases):
                 m = sign * vec_dot(p, normal)
                 row[start + j * stride] = m
@@ -456,7 +471,7 @@ class _MinorTable:
                     neg.append(base + j * step)
         # the bits hold colour-i point 0; the comb adds each other point
         comb = self._combs[i]
-        return _mask(pos, self._size) * comb, _mask(neg, self._size) * comb
+        return row, _mask(pos, self._size) * comb, _mask(neg, self._size) * comb
 
     def _decide(self, positive, negative, classes, through: int, lp: int) -> tuple[int, int]:
         """(lp, inside) once the transversals in the mask `through` have the
@@ -476,7 +491,7 @@ class _MinorTable:
 
     def propose(self, colour: int, points: Sequence[IntVec]) -> int:
         """The exact depth with colour `colour`'s points replaced by `points`;
-        the change is held for `commit` until the next proposal."""
+        the proposal is held for `successor` until the next one."""
         n = self.dimension + 1
         moved = [j for j in range(n) if points[j] != self.points[colour][j]]
         classes = list(self.points)
@@ -494,41 +509,22 @@ class _MinorTable:
                     positive[i] = positive[i] & ~through | pos
                     negative[i] = negative[i] & ~through | neg
         lp, inside = self._decide(positive, negative, classes, through, self.lp)
-        depth = inside.bit_count()
-        self._pending = (colour, moved, through, classes, positive, negative, lp, inside, depth)
-        return depth
+        self._pending = (colour, classes, {"positive": positive, "negative": negative,
+                                           "lp": lp, "inside": inside})
+        return inside.bit_count()
 
-    def commit(self) -> None:
-        """Adopt the last proposal: write the moved points' minors by dot
-        products, and raise AssertionError unless their signs are the
-        proposal's; then recompute each pair's normals through the moved
-        points, by `_span_normals` with the moved colour cut down to one
-        moved point."""
-        colour, moved, through, classes, positive, negative, lp, inside, depth = self._pending
-        self._pending = None
-        n = self.dimension + 1
-        minors = list(self.minors)
-        for i in range(n):
-            if i != colour:
-                row = minors[i] = list(minors[i])
-                pos, neg = self._rewrite(i, colour, classes, moved, row)
-                if pos != positive[i] & through or neg != negative[i] & through:
-                    raise AssertionError(
-                        f"packed minor signs of colour {i} disagree with their dot products")
-        (self.points, self.minors, self.positive, self.negative,
-         self.lp, self.inside, self.depth) = classes, minors, positive, negative, lp, inside, depth
-        for pair, normals in self._normals.items():
-            if colour in pair:
-                continue
-            classes = [cls for o, cls in enumerate(self.points) if o not in pair]
-            q = colour - (pair[0] < colour) - (pair[1] < colour)  # its place in classes
-            stride = n ** (n - 3 - q)  # of colour's digit in the list's order
-            for j in moved:
-                classes[q] = [self.points[colour][j]]
-                fresh = _span_normals(classes, self.dimension)
-                for t, first in enumerate(range(j * stride, len(normals), n * stride)):
-                    normals[first:first + stride] = fresh[t * stride:(t + 1) * stride]
-                self._packings.pop(pair, None)
+    def successor(self) -> "_MinorTable":
+        """The table of the last proposal's points, built by dot products
+        with the lists of the pairs with the moved colour; raises
+        AssertionError unless its masks are the proposal's."""
+        colour, classes, proposed = self._pending
+        table = _MinorTable(classes, {pair: normals for pair, normals in self._normals.items()
+                                      if colour in pair})
+        for name, mask in proposed.items():
+            if getattr(table, name) != mask:
+                raise AssertionError(
+                    f"the proposal's {name} mask disagrees with a fresh table's dot products")
+        return table
 
 
 def colourful_depth(config: Configuration) -> DepthReport:

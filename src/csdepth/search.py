@@ -20,14 +20,14 @@ evaluated exactly and incrementally: its depth is updated from the
 incumbent's minor table, reading the signs of only the minors through the
 moved points and rewriting only the sign bits of the transversals through
 them (`_ProposalScreen`).  A proposal is accepted iff that depth is below
-the incumbent's; an accepted one is recounted from scratch by a fresh
-`_MinorTable`, whose dot products share no arithmetic with the packed
-signs of a proposal, as a tripwire, and the two counts must agree; its
-commit checks those packed signs against dot products too.  Every depth,
-incremental or full, is checked against the proven lower bound; a
-violation aborts the search with the offending configuration attached,
-since it would be a counterexample to the bound or a defect in the
-predicates underneath.
+the incumbent's.  An accepted move adopts the proposal's
+`_MinorTable.successor`, a table of the new points whose minors are dot
+products, which share no arithmetic with the packed signs of a proposal:
+it is the tripwire, and its sign masks and containing transversals must
+equal the proposal's.  Every depth, incremental or full, is checked
+against the proven lower bound; a violation aborts the search with the
+offending configuration attached, since it would be a counterexample to
+the bound or a defect in the predicates underneath.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .configuration import (
     Configuration,
@@ -44,9 +44,9 @@ from .configuration import (
     configuration_to_json_dict,
     validate,
 )
-from .depth import _cofactor_verdict, _MinorTable, origin_in_convex_hull
+from .depth import _cofactor_verdict, _cofactors, _MinorTable, origin_in_convex_hull
 from .errors import InputError, ViolationError
-from .exactgeom import IntVec, normal_to_span, vec_dot
+from .exactgeom import IntVec, vec_dot
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -130,14 +130,11 @@ def _check_bound(d: int, depth: int, points: Sequence[Sequence[IntVec]]) -> None
             counterexample=json.dumps(configuration_to_json_dict(config)))
 
 
-def _checked_depth(d: int, points: Sequence[Sequence[IntVec]],
-                   table: Optional[_MinorTable] = None) -> int:
-    """The colourful depth of the points (numerators over 2^16), read from
-    their minor table when given and counted by a fresh one otherwise,
+def _checked_depth(table: _MinorTable) -> int:
+    """The colourful depth of a minor table of numerators over 2^16,
     checked against the bound."""
-    depth = (_MinorTable(points) if table is None else table).depth
-    _check_bound(d, depth, points)
-    return depth
+    _check_bound(table.dimension, table.depth, table.points)
+    return table.depth
 
 
 def _hull_cofactors(cls: Sequence[IntVec], d: int
@@ -146,16 +143,12 @@ def _hull_cofactors(cls: Sequence[IntVec], d: int
     reads their signs), and for each point j their gradient in it: entry k
     != j of the cofactors with point j replaced by p is dot(p, gradient[j][k]),
     since it is a determinant with p as one column; entry j does not read p."""
-    def cofactors(points):
-        columns = [tuple(p[a] for p in points) for a in range(d)]
-        return normal_to_span(columns, d + 1) or (0,) * (d + 1)
-
     gradients = []
     for j in range(d + 1):
-        units = [cofactors(cls[:j] + [tuple(int(a == b) for b in range(d))] + cls[j + 1:])
+        units = [_cofactors(cls[:j] + [tuple(int(a == b) for b in range(d))] + cls[j + 1:])
                  for a in range(d)]
         gradients.append(list(zip(*units)))
-    return cofactors(cls), gradients
+    return _cofactors(cls), gradients
 
 
 def _contains_origin_after(hull, cls: Sequence[IntVec], index: int) -> bool:
@@ -177,7 +170,8 @@ class _ProposalScreen:
 
     The method names are kept from the cone-count screen this replaced,
     whose counts bounded the depth from below: `lower_bound` returns the
-    exact depth, and `invalidate_except` commits the proposal.
+    exact depth, and `invalidate_except` adopts the proposal's
+    `_MinorTable.successor`, the tripwire.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]]):
@@ -189,7 +183,7 @@ class _ProposalScreen:
         return depth
 
     def invalidate_except(self) -> None:
-        self.table.commit()
+        self.table = self.table.successor()
 
 
 def comparison_constants(d: int) -> dict[str, int]:
@@ -219,7 +213,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
         rng = random.Random(child_seed ^ 0x9E3779B9)
         screen = _ProposalScreen(points)
         hulls = [_hull_cofactors(cls, d) for cls in points]
-        depth = _checked_depth(d, points, screen.table)
+        depth = _checked_depth(screen.table)
         history.append((r, 0, depth))
         iteration = 0
         rejected = 0
@@ -243,13 +237,10 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
             if trial_depth >= depth:
                 rejected += 1
                 continue
-            if _checked_depth(d, candidate) != trial_depth:
-                raise AssertionError(
-                    f"incremental depth {trial_depth} disagrees with a fresh minor table")
-            points = candidate
-            depth = trial_depth
-            history.append((r, iteration, depth))
             screen.invalidate_except()
+            points = candidate
+            depth = _checked_depth(screen.table)
+            history.append((r, iteration, depth))
             hulls[colour] = _hull_cofactors(cls, d)
         if best_depth is None or depth < best_depth:
             best_depth = depth

@@ -10,7 +10,6 @@ the line through two others)."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -139,14 +138,15 @@ class TestOneNormalListPerPair:
     minors of colour i and of colour c alike, up to one sign, so the table
     builds one list per colour pair {i, c}, not one per (i, c)."""
 
-    def test_depth_d4_builds_d_lists(self, monkeypatch):
+    def test_depth_d4_builds_375_normals(self, monkeypatch):
         d = 4
         config = random_configuration(d, 3)
         calls = count_span_normals(monkeypatch)
         colourful_depth(config)
-        # colour 0 reads the list of the pair {0, 1}, colour i > 0 that of
-        # {0, i}: d pairs of (d+1)^(d-1) normals each
-        assert len(calls) == d * (d + 1) ** (d - 1) == 500
+        # colours 0 and 1 read the list of the pair {0, 1}, colours 2 and 3
+        # that of {2, 3}, and colour 4 that of {0, 4}: ceil((d+1)/2) pairs
+        # of (d+1)^(d-1) normals each
+        assert len(calls) == 3 * (d + 1) ** (d - 1) == 375
 
     def test_table_after_moves_of_every_colour_holds_a_list_per_pair(self):
         d = 3
@@ -161,12 +161,34 @@ class TestOneNormalListPerPair:
                 moved = list(table.points[colour])
                 moved[rng.randrange(d + 1)] = point()
                 table.propose(colour, moved)
-                table.commit()
-        assert len(table._normals) == comb(d + 1, 2) == 6
+                table = table.successor()
+        # a successor holds the d lists of the pairs with the last moved
+        # colour, and builds no other
+        assert sorted(table._normals) == [(i, d) for i in range(d)]
         fresh = _MinorTable(table.points)
         for pair, normals in table._normals.items():
             assert normals == fresh._pair_normals(*pair)
         assert table.depth == fresh.depth
+
+    def test_successor_shares_the_moved_colours_lists(self, monkeypatch):
+        d = 4
+        rng = random.Random(12)
+
+        def point():
+            return tuple(rng.randint(-20, 20) for _ in range(d))
+
+        table = _MinorTable([[point() for _ in range(d + 1)] for _ in range(d + 1)])
+        colour = 2
+        moved = list(table.points[colour])
+        moved[1] = point()
+        table.propose(colour, moved)
+        held = {pair: normals for pair, normals in table._normals.items() if colour in pair}
+        assert len(held) == d
+        calls = count_span_normals(monkeypatch)
+        successor = table.successor()
+        assert not calls
+        assert successor._normals.keys() == held.keys()
+        assert all(successor._normals[pair] is normals for pair, normals in held.items())
 
 
 def planted_d4(seed: int):
@@ -224,27 +246,31 @@ def integer_points(draw, d: int, count: int, bits: int) -> list:
     return [tuple(draw(coord) for _ in range(d)) for _ in range(count)]
 
 
-def check_proposal(table: _MinorTable, colour: int, points: list) -> None:
+def check_proposal(table: _MinorTable, colour: int, points: list) -> _MinorTable:
     """Each colour's packed signs for the proposal equal the signs of the
-    dot products `_rewrite` computes, the commit accepts them, and the
-    committed table equals a fresh table of the new points."""
+    dot products of a fresh table of the new points, the successor accepts
+    them, and the successor equals that fresh table; returns the successor."""
     n = table.dimension + 1
     moved = [j for j in range(n) if points[j] != table.points[colour][j]]
     classes = list(table.points)
     classes[colour] = points
+    fresh = _MinorTable(classes)
+    through = 0
+    for j in moved:
+        through |= table._point_zero[colour] << j * table._low[colour]
     bits = max((abs(x) for j in moved for x in points[j]), default=0).bit_length()
     for i in range(n):
         if i != colour:
-            want = table._rewrite(i, colour, classes, moved, list(table.minors[i]))
+            want = fresh.positive[i] & through, fresh.negative[i] & through
             assert table._signs(i, colour, points, moved, bits) == want
     depth = table.propose(colour, points)
-    table.commit()
-    fresh = _MinorTable(classes)
-    assert table.points == fresh.points
-    assert table.minors == fresh.minors
-    assert (table.positive, table.negative) == (fresh.positive, fresh.negative)
-    assert (table.lp, table.inside) == (fresh.lp, fresh.inside)
-    assert depth == table.depth == fresh.depth
+    successor = table.successor()
+    assert successor.points == fresh.points
+    assert successor.minors == fresh.minors
+    assert (successor.positive, successor.negative) == (fresh.positive, fresh.negative)
+    assert (successor.lp, successor.inside) == (fresh.lp, fresh.inside)
+    assert depth == successor.depth == fresh.depth
+    return successor
 
 
 class TestPackedSigns:
@@ -252,8 +278,9 @@ class TestPackedSigns:
     reference is the dot products of the same points and normals, and a
     fresh table.  Draws reach 2^200, plant zero minors (a moved point that
     is 0 or a multiple of another colour's point), read normals that a
-    commit of another colour refreshed, move a point to more bits than the
-    packing allows, which forces a repack, and move no point."""
+    successor built after a move of another colour, move a point to more
+    bits than the packing allows, which forces a repack, and move no
+    point."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -274,31 +301,35 @@ class TestPackedSigns:
             other = data.draw(st.integers(0, d).filter(lambda o: o != colour))
             k = data.draw(st.sampled_from([None, 0, 1, -3]))
             moved[j] = p if k is None else tuple(k * x for x in table.points[other][j])
-        check_proposal(table, colour, moved)
+        table = check_proposal(table, colour, moved)
 
-        # a move of another colour refreshes the normals the next proposal
-        # of this colour reads, and they must be packed again
+        # after a move of another colour, the next proposal of this colour
+        # reads normals the successor built or took over, packed afresh
         for c in (data.draw(st.integers(0, d).filter(lambda o: o != colour)), colour):
             moved = list(table.points[c])
             moved[data.draw(st.integers(0, d))] = integer_points(data.draw, d, 1, small)[0]
-            check_proposal(table, c, moved)
+            table = check_proposal(table, c, moved)
 
-        # a point of more bits than every point the packing has seen
+        # a point of more bits than every point the packing has seen: a
+        # smaller move packs the pairs first, and the bigger one repacks them
         pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
-        assert all(table._packings.get(pair, (0,))[0] < big for pair in pairs)
         moved = list(table.points[colour])
         j = data.draw(st.integers(0, d))
+        moved[j] = tuple(x + 1 for x in moved[j])
+        table.propose(colour, moved)
+        assert all(table._packings[pair][0] < big for pair in pairs)
         moved[j] = ((1 << big - 1) + data.draw(st.integers(0, (1 << big - 1) - 1)),
                     *integer_points(data.draw, d, 1, big)[0][1:])
-        check_proposal(table, colour, moved)
-        assert all(table._packings[pair][0] >= big for pair in pairs)
+        proposing = table
+        table = check_proposal(table, colour, moved)
+        assert all(proposing._packings[pair][0] >= big for pair in pairs)
 
         # a proposal that moves no point
         before = table.inside
-        check_proposal(table, colour, list(table.points[colour]))
+        table = check_proposal(table, colour, list(table.points[colour]))
         assert table.inside == before
 
-    def test_commit_catches_a_flipped_sign(self, monkeypatch):
+    def test_successor_catches_a_flipped_sign(self, monkeypatch):
         d = 3
         rng = random.Random(5)
 
@@ -310,7 +341,7 @@ class TestPackedSigns:
         moved[2] = point()
         table = _MinorTable(points)
         table.propose(1, moved)
-        table.commit()  # the unflipped kernel agrees
+        table.successor()  # the unflipped kernel agrees
 
         top_bits_of = _MinorTable._top_bits_of
         calls = []
@@ -323,5 +354,5 @@ class TestPackedSigns:
         monkeypatch.setattr(_MinorTable, "_top_bits_of", flipped)
         table = _MinorTable(points)
         table.propose(1, moved)
-        with pytest.raises(AssertionError, match="packed minor signs"):
-            table.commit()
+        with pytest.raises(AssertionError, match="disagrees with a fresh table"):
+            table.successor()

@@ -233,6 +233,27 @@ class TestExactIncrementalDepth:
         assert counterexample["d"] == 2
         assert counterexample == configuration_to_json_dict(random_configuration(2, 42))
 
+    def test_successor_catches_a_wrong_containment_bit(self, monkeypatch):
+        from csdepth.depth import _MinorTable
+
+        # every proposal loses one containing transversal: its depth drops
+        # by one but stays above the bound, so the first proposal no deeper
+        # than the incumbent is accepted, and its successor must refuse it
+        decide = _MinorTable._decide
+        depths = []
+
+        def dropped(self, positive, negative, classes, through, lp):
+            lp, inside = decide(self, positive, negative, classes, through, lp)
+            if classes is not self.points:  # a proposal, not a table's own
+                inside &= inside - 1
+                depths.append(inside.bit_count())
+            return lp, inside
+
+        monkeypatch.setattr(_MinorTable, "_decide", dropped)
+        with pytest.raises(AssertionError, match="inside mask disagrees"):
+            minimize_depth(3, 1, 60, 19)
+        assert depths and min(depths) >= theorem_bound(3)
+
 
 class TestIncrementalHullTest:
     """A proposal's hull test updates the incumbent class's cofactors,
@@ -283,6 +304,8 @@ class TestGoldenSearchDigests:
         (2, 3, 200, 5, "50428a1b1535a118c774089b1eff901fa02b29c93e9826bbd581560117c85087"),
         (3, 2, 150, 19, "dc3d9fb81deca0a187d861f9633f9b13f35cbec532aa659799d4fadaa7a0400c"),
         (4, 1, 60, 1, "183554bd10791db049fb437728652a57b62aa14042fc37e04b55cee1b9959664"),
+        # about 29 accepted moves at d = 4
+        (4, 1, 300, 2, "5ea5e29535818fee82343a8bb15e0a9eacbedda731e8ecafb90c36cd527ccb6e"),
     ])
     def test_digest(self, d, restarts, steps, seed, digest):
         import hashlib
