@@ -331,13 +331,19 @@ class _MinorTable:
 
     `successor` is the table of the last proposal's points, built by dot
     products: it is the tripwire, and raises AssertionError unless its
-    masks are the proposal's.  It takes the lists of the pairs with the
-    moved colour c as they are, since the normals of a pair {c, b} span
-    points of the other colours; no list is written after it is built.
+    masks are the proposal's.  It holds every list this table held.  It
+    takes the lists of the pairs with the moved colour c as they are, and
+    their packings, since the normals of a pair {c, b} span points of the
+    other colours.  Every other list is a new one (`_moved_normals`) that
+    copies the normals whose colour-c point stayed and builds only the
+    (d+1)^(d-2) through each moved point; it is packed on first use.  A
+    colour of the successor may read such a list, so the tripwire checks
+    those normals too.  No list or packing is written after it is built.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]],
-                 normals: Optional[dict[tuple[int, int], list[IntVec]]] = None):
+                 normals: Optional[dict[tuple[int, int], list[IntVec]]] = None,
+                 packings: Optional[dict[tuple[int, int], tuple]] = None):
         d = len(points) - 1
         n = d + 1
         self.dimension = d
@@ -353,7 +359,7 @@ class _MinorTable:
         self._slots = n ** (n - 2)  # normals per pair
         self._high_bits = int.from_bytes(b"\x80" * self._slots, "little")  # 8k + 7, k < slots
         self._normals = dict(normals or {})  # by colour pair
-        self._packings = {}  # by colour pair
+        self._packings = dict(packings or {})  # by colour pair
         self.minors, self.positive, self.negative = [], [], []
         for i in range(n):
             # any colour c != i gives the minors of colour i as dot products:
@@ -509,17 +515,45 @@ class _MinorTable:
                     positive[i] = positive[i] & ~through | pos
                     negative[i] = negative[i] & ~through | neg
         lp, inside = self._decide(positive, negative, classes, through, self.lp)
-        self._pending = (colour, classes, {"positive": positive, "negative": negative,
-                                           "lp": lp, "inside": inside})
+        self._pending = (colour, moved, classes, {"positive": positive, "negative": negative,
+                                                  "lp": lp, "inside": inside})
         return inside.bit_count()
+
+    def _moved_normals(self, pair: tuple[int, int], colour: int, moved: Sequence[int],
+                       classes) -> list[IntVec]:
+        """The pair's normals for `classes`, which differ from this table's
+        points only in the points `moved` of colour `colour`: a new list
+        that copies the normals through that colour's points that stayed
+        and builds only those through the moved ones."""
+        n = self.dimension + 1
+        others = [o for o in range(n) if o not in pair]
+        # the normals through point j of that colour are the runs of
+        # `stride` normals at j * stride within each block of n * stride
+        stride = n ** (len(others) - 1 - others.index(colour))
+        fresh = {j: _span_normals([[classes[o][j]] if o == colour else classes[o]
+                                   for o in others], self.dimension) for j in moved}
+        old = self._normals[pair]
+        normals = []
+        for start in range(0, len(old), n * stride):
+            for j in range(n):
+                if j in fresh:
+                    normals += fresh[j][start // n:start // n + stride]
+                else:
+                    normals += old[start + j * stride:start + (j + 1) * stride]
+        return normals
 
     def successor(self) -> "_MinorTable":
         """The table of the last proposal's points, built by dot products
-        with the lists of the pairs with the moved colour; raises
-        AssertionError unless its masks are the proposal's."""
-        colour, classes, proposed = self._pending
-        table = _MinorTable(classes, {pair: normals for pair, normals in self._normals.items()
-                                      if colour in pair})
+        with every normal list this table holds: those of the pairs with the
+        moved colour and their packings as they are, the others through
+        `_moved_normals`.  Raises AssertionError unless its masks are the
+        proposal's."""
+        colour, moved, classes, proposed = self._pending
+        table = _MinorTable(
+            classes,
+            {pair: normals if colour in pair else self._moved_normals(pair, colour, moved, classes)
+             for pair, normals in self._normals.items()},
+            {pair: packed for pair, packed in self._packings.items() if colour in pair})
         for name, mask in proposed.items():
             if getattr(table, name) != mask:
                 raise AssertionError(
@@ -527,12 +561,30 @@ class _MinorTable:
         return table
 
 
-def colourful_depth(config: Configuration) -> DepthReport:
+_MAX_DEFAULT_DIMENSION = 6
+
+
+def _check_depth_budget(d: int, allow_high_dimension: bool = False) -> None:
+    """Refuse, before any table is built, a depth that would run for
+    minutes: the minor table keeps a bit of each mask and a minor per
+    colour for each of the (d+1)^(d+1) transversals."""
+    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
+        raise InputError(
+            f"depth in dimension {d} needs allow_high_dimension=True "
+            f"(the minor table reads all {d + 1}^{d + 1} = {(d + 1) ** (d + 1):,} "
+            "transversals: about ten seconds and 130 MB in dimension 6, and minutes "
+            "and gigabytes beyond)")
+
+
+def colourful_depth(config: Configuration, allow_high_dimension: bool = False) -> DepthReport:
     """Count, over all transversals, the closed colourful simplices containing
     the origin, with barycentric witnesses in lexicographic order.
 
     The points are tested as given, each scaled to integers, through one
-    `_MinorTable`; weights are read only for the containing transversals."""
+    `_MinorTable`; weights are read only for the containing transversals.
+    Dimensions beyond 6 raise `InputError` unless `allow_high_dimension`
+    is set."""
+    _check_depth_budget(config.dimension, allow_high_dimension)
     scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
     table = _MinorTable([[v for v, _ in cls] for cls in scaled])
     contained = _bits(table.inside)

@@ -11,7 +11,8 @@ its core.  That hull test reads the signs of the moved class's cofactors
 (`_cofactor_verdict`), with no LP unless they are all 0: the class keeps
 its cofactors and their gradients (`_hull_cofactors`), in which the
 cofactors of a one-point replacement are linear, so the test costs d+1 dot
-products; the exact LP is `origin_in_convex_hull`'s.
+products; the exact LP is `origin_in_convex_hull`'s.  The gradients are,
+up to sign, the C(d+1, 2) normals to the class less two of its points.
 
 Every sampled coordinate is an integer numerator over 2^16, and the
 descent keeps points as those integer vectors; `Fraction`s are made only
@@ -24,7 +25,10 @@ the incumbent's.  An accepted move adopts the proposal's
 `_MinorTable.successor`, a table of the new points whose minors are dot
 products, which share no arithmetic with the packed signs of a proposal:
 it is the tripwire, and its sign masks and containing transversals must
-equal the proposal's.  Every depth, incremental or full, is checked
+equal the proposal's.  The successor recomputes only what the move
+changed: it keeps the incumbent's normal lists, rebuilding in each only
+the normals through the moved points, and the packings of the lists the
+move left unchanged.  Every depth, incremental or full, is checked
 against the proven lower bound; a violation aborts the search with the
 offending configuration attached, since it would be a counterexample to
 the bound or a defect in the predicates underneath.
@@ -32,11 +36,12 @@ the bound or a defect in the predicates underneath.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .configuration import (
     Configuration,
@@ -46,7 +51,7 @@ from .configuration import (
 )
 from .depth import _cofactor_verdict, _cofactors, _MinorTable, origin_in_convex_hull
 from .errors import InputError, ViolationError
-from .exactgeom import IntVec, vec_dot
+from .exactgeom import IntVec, normal_to_span, vec_dot, vec_neg
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -138,16 +143,21 @@ def _checked_depth(table: _MinorTable) -> int:
 
 
 def _hull_cofactors(cls: Sequence[IntVec], d: int
-                    ) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
+                    ) -> tuple[tuple[int, ...], list[list[Optional[IntVec]]]]:
     """The cofactors of a class of d+1 points (`origin_in_convex_hull`
     reads their signs), and for each point j their gradient in it: entry k
-    != j of the cofactors with point j replaced by p is dot(p, gradient[j][k]),
-    since it is a determinant with p as one column; entry j does not read p."""
-    gradients = []
-    for j in range(d + 1):
-        units = [_cofactors(cls[:j] + [tuple(int(a == b) for b in range(d))] + cls[j + 1:])
-                 for a in range(d)]
-        gradients.append(list(zip(*units)))
+    != j of the cofactors with point j replaced by p is dot(p, gradient[j][k]);
+    entry j does not read p, and gradient[j][j] is None.
+
+    Cofactor k is (-1)^k det of the points other than k, p among them in
+    row r (j, or j - 1 if j > k), so it is (-1)^(k+r) dot(p, N) with N the
+    `normal_to_span` of the points other than j and k: one normal per pair."""
+    gradients = [[None] * (d + 1) for _ in range(d + 1)]
+    for j, k in itertools.combinations(range(d + 1), 2):
+        normal = normal_to_span([p for m, p in enumerate(cls) if m not in (j, k)], d) or (0,) * d
+        # p is row j of the points other than k, row k - 1 of those other than j
+        gradients[j][k] = normal if (j + k) % 2 == 0 else vec_neg(normal)
+        gradients[k][j] = normal if (j + k) % 2 == 1 else vec_neg(normal)
     return _cofactors(cls), gradients
 
 

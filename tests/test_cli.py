@@ -347,6 +347,19 @@ class TestHighDimensionRefusal:
         assert "validation in dimension 6 needs allow_high_dimension=True" in err
 
 
+class TestDepthRefusal:
+    def test_dimension_7_exits_2_before_any_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(csdepth.depth, "_MinorTable", _fail_if_called("a minor table"))
+        cls = [[str(k + 1) if k == i else "1" for k in range(7)] for i in range(8)]
+        path = tmp_path / "d7.json"
+        path.write_text(json.dumps({"d": 7, "colours": [cls] * 8}))
+        code, out, err = run_cli(capsys, "depth", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: depth in dimension 7 needs allow_high_dimension=True")
+        assert "Traceback" not in err
+
+
 class TestSweepCallers:
     """Which commands run the general-position sweep: `verify` reports the
     full validation (digests recorded before `witness` and `cross` stopped

@@ -445,6 +445,41 @@ class TestColourfulDepth:
                 assert depth >= 2 * d
 
 
+class TestDepthBudget:
+    """The minor table holds every one of the (d+1)^(d+1) transversals:
+    16,777,216 at d = 7.  That dimension is refused before any table is
+    built, unless the caller overrides it."""
+
+    @staticmethod
+    def config_d7():
+        cls = tuple(tuple(fp(*[k + 1 if k == i else 1 for k in range(7)]) for i in range(8)))
+        return Configuration(7, (cls,) * 8)
+
+    def test_dimension_7_is_refused_before_any_table(self, monkeypatch):
+        import csdepth.depth
+
+        def no_table(*args):
+            pytest.fail("a minor table was built")
+
+        monkeypatch.setattr(csdepth.depth, "_MinorTable", no_table)
+        with pytest.raises(InputError, match="depth in dimension 7 needs allow_high_dimension=True"):
+            colourful_depth(self.config_d7())
+
+    def test_override_builds_the_table(self, monkeypatch):
+        import csdepth.depth
+
+        class Built(Exception):
+            pass
+
+        def table(points):
+            assert len(points) == 8
+            raise Built
+
+        monkeypatch.setattr(csdepth.depth, "_MinorTable", table)
+        with pytest.raises(Built):
+            colourful_depth(self.config_d7(), allow_high_dimension=True)
+
+
 class TestDDepth:
     def test_symmetric_direction_count(self):
         config = symmetric_example()

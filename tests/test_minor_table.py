@@ -24,7 +24,7 @@ from csdepth import (
     transversal_points,
     validate,
 )
-from csdepth.depth import _MinorTable, _origin_weights
+from csdepth.depth import _MinorTable, _origin_weights, _span_normals
 from csdepth.exactgeom import scale_to_integers
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -124,6 +124,11 @@ class TestMinorTable:
         check_depth(config)
 
 
+def fresh_normals(points, pair) -> list:
+    """The pair's normal list built from scratch."""
+    return _span_normals([cls for o, cls in enumerate(points) if o not in pair], len(points) - 1)
+
+
 def count_span_normals(monkeypatch) -> list:
     """Record every `normal_to_span` call made from `csdepth.depth`."""
     calls = []
@@ -161,14 +166,15 @@ class TestOneNormalListPerPair:
                 moved = list(table.points[colour])
                 moved[rng.randrange(d + 1)] = point()
                 table.propose(colour, moved)
-                table = table.successor()
-        # a successor holds the d lists of the pairs with the last moved
-        # colour, and builds no other
-        assert sorted(table._normals) == [(i, d) for i in range(d)]
-        fresh = _MinorTable(table.points)
+                parent, table = table, table.successor()
+                # a successor holds every list its parent held
+                assert parent._normals.keys() <= table._normals.keys()
+        # a proposal of colour c reads the d lists of the pairs with c, so
+        # after proposals of every colour the table holds one per pair
+        assert sorted(table._normals) == list(itertools.combinations(range(d + 1), 2))
         for pair, normals in table._normals.items():
-            assert normals == fresh._pair_normals(*pair)
-        assert table.depth == fresh.depth
+            assert normals == fresh_normals(table.points, pair)
+        assert table.depth == _MinorTable(table.points).depth
 
     def test_successor_shares_the_moved_colours_lists(self, monkeypatch):
         d = 4
@@ -179,16 +185,123 @@ class TestOneNormalListPerPair:
 
         table = _MinorTable([[point() for _ in range(d + 1)] for _ in range(d + 1)])
         colour = 2
+        # a proposal of colour 0 builds and packs the lists of the pairs
+        # with 0; the proposal of colour 2 those of the pairs with 2
+        table.propose(0, [point() for _ in range(d + 1)])
         moved = list(table.points[colour])
         moved[1] = point()
         table.propose(colour, moved)
-        held = {pair: normals for pair, normals in table._normals.items() if colour in pair}
-        assert len(held) == d
+        shared = [pair for pair in table._normals if colour in pair]
+        rebuilt = [pair for pair in table._normals if colour not in pair]
+        assert len(shared) == d and sorted(rebuilt) == [(0, 1), (0, 3), (0, 4)]
+        assert table._packings.keys() == set(shared + rebuilt)
         calls = count_span_normals(monkeypatch)
         successor = table.successor()
-        assert not calls
-        assert successor._normals.keys() == held.keys()
-        assert all(successor._normals[pair] is normals for pair, normals in held.items())
+        # only the (d+1)^(d-2) normals through the one moved point, per list
+        assert len(calls) == (d + 1) ** (d - 2) * len(rebuilt) == 25 * 3
+        assert successor._normals.keys() == table._normals.keys()
+        for pair in shared:
+            assert successor._normals[pair] is table._normals[pair]
+            assert successor._packings[pair] is table._packings[pair]
+        for pair in rebuilt:
+            assert successor._normals[pair] is not table._normals[pair]
+            assert successor._normals[pair] == fresh_normals(successor.points, pair)
+            assert pair not in successor._packings  # packed again on first use
+
+
+class TestChainedSuccessors:
+    """A chain of accepted moves over every colour, each adopting
+    `successor()`: after every step the table's depth and masks are those
+    of a fresh table of its points, and every normal list it holds, whether
+    taken over or built from its parent's, is a fresh `_span_normals` build.
+    The chain moves one point, two points, the last point alone, no point,
+    points that are multiples of another colour's point (zero normals and
+    minors), and a point of more bits than a packing taken over."""
+
+    @staticmethod
+    def check(table):
+        fresh = _MinorTable(table.points)
+        for name in ("positive", "negative", "lp", "inside", "depth"):
+            assert getattr(table, name) == getattr(fresh, name), name
+        for pair, normals in table._normals.items():
+            assert normals == fresh_normals(table.points, pair)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_chain_matches_fresh_tables(self, d):
+        n = d + 1
+        rng = random.Random(100 + d)
+
+        def point(bits=4):
+            return tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(d))
+
+        # every colour once, so every pair's list is held, then the special
+        # moves, then random ones
+        steps = [(c, "one") for c in range(n)]
+        steps += [(0, "none"), (1, "last"), (2, "one"), (2, "big"), (3 % n, "multiple")]
+        steps += [(rng.randrange(n), rng.choice(["one", "two", "multiple"]))
+                  for _ in range(42 - len(steps))]
+        table = _MinorTable([[point() for _ in range(n)] for _ in range(n)])
+        self.check(table)
+        for colour, kind in steps:
+            moved = list(table.points[colour])
+            j = rng.randrange(n)
+            if kind == "one":
+                moved[j] = point()
+            elif kind == "two":
+                moved[j], moved[(j + 1) % n] = point(), point()
+            elif kind == "last":
+                moved[d] = point()
+            elif kind == "multiple":
+                other = (colour + 1 + rng.randrange(d)) % n
+                moved[j] = tuple(rng.choice([0, 2, -3]) * x for x in table.points[other][j])
+            elif kind == "big":
+                # the pairs with this colour were packed by the last proposal
+                # and taken over; a point of more bits packs them again
+                pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
+                assert all(table._packings[pair] is parent._packings[pair] for pair in pairs)
+                assert all(table._packings[pair][0] < 80 for pair in pairs)
+                moved[j] = ((1 << 79) + rng.randrange(1 << 79), *point()[1:])
+            table.propose(colour, moved)
+            if kind == "big":
+                assert all(table._packings[pair][0] >= 80 for pair in pairs)
+            parent, table = table, table.successor()
+            assert parent._normals.keys() <= table._normals.keys()
+            if kind == "none":
+                assert table.inside == parent.inside
+            self.check(table)
+
+    def test_successor_catches_a_negated_rebuilt_normal(self, monkeypatch):
+        d = 3
+        rng = random.Random(7)
+
+        def point():
+            return tuple(rng.randint(-20, 20) for _ in range(d))
+
+        table = _MinorTable([[point() for _ in range(d + 1)] for _ in range(d + 1)])
+        for colour in range(d + 1):
+            moved = list(table.points[colour])
+            moved[1] = point()
+            table.propose(colour, moved)
+            table = table.successor()
+        moved = list(table.points[3])
+        moved[0] = point()
+
+        moved_normals = _MinorTable._moved_normals
+
+        def planted(self, pair, colour, moved, classes):
+            normals = moved_normals(self, pair, colour, moved, classes)
+            if pair == (0, 1):
+                # the pair {0, 1} spans colours 2 and 3; the normals through
+                # the moved colour-3 point 0 are every fourth, from 0
+                assert any(normals[0])
+                normals[0] = tuple(-x for x in normals[0])
+            return normals
+
+        monkeypatch.setattr(_MinorTable, "_moved_normals", planted)
+        # colours 0 and 1 of the successor read the rebuilt list of {0, 1}
+        table.propose(3, moved)
+        with pytest.raises(AssertionError, match="disagrees with a fresh table"):
+            table.successor()
 
 
 def planted_d4(seed: int):

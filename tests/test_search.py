@@ -292,6 +292,57 @@ class TestIncrementalHullTest:
             assert all_zero
 
 
+def laplace_det(rows) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** a * x * laplace_det([r[:a] + r[a + 1:] for r in rows[1:]])
+               for a, x in enumerate(rows[0]) if x)
+
+
+def reference_cofactors(cls) -> tuple:
+    """Cofactor k of d+1 points is (-1)^k det of the other d as rows, so
+    that sum_k cofactor_k * point_k = 0."""
+    return tuple((-1) ** k * laplace_det([q for m, q in enumerate(cls) if m != k])
+                 for k in range(len(cls)))
+
+
+class TestHullGradients:
+    """`_hull_cofactors` builds gradient[j][k] from the normal to the points
+    other than j and k; the reference is the cofactors of the class with
+    point j replaced by each unit vector, by cofactor expansion.  Draws plant
+    every point on a hyperplane through 0, or a repeated point, where every
+    cofactor or some normal vanishes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_gradients_are_the_cofactors_of_unit_vectors(self, data):
+        import csdepth.search as search
+
+        d = data.draw(st.integers(1, 4), label="d")
+        coord = st.integers(-40, 40)
+
+        def vector(size):
+            return tuple(data.draw(coord) for _ in range(size))
+
+        cls = [vector(d) for _ in range(d + 1)]
+        plant = data.draw(st.sampled_from(["none", "hyperplane", "repeat"]), label="plant")
+        if plant == "hyperplane":
+            basis = [vector(d) for _ in range(d - 1)]
+            cls = [tuple(sum(c * b[a] for c, b in zip(vector(d - 1), basis)) for a in range(d))
+                   for _ in range(d + 1)]
+        elif plant == "repeat":
+            cls[1] = cls[0]
+        cofactors, gradients = search._hull_cofactors(cls, d)
+        assert cofactors == reference_cofactors(cls)
+        for j in range(d + 1):
+            units = [reference_cofactors(cls[:j] + [tuple(int(a == b) for b in range(d))]
+                                         + cls[j + 1:]) for a in range(d)]
+            for k in range(d + 1):
+                if k != j:
+                    assert tuple(gradients[j][k]) == tuple(u[k] for u in units)
+
+
 class TestGoldenSearchDigests:
     """sha256 of the compact JSON of `minimize_depth(...).to_json_dict()`, as
     recorded before proposals were evaluated incrementally (the cone-count
