@@ -195,10 +195,12 @@ class TestOneNormalListPerPair:
         rebuilt = [pair for pair in table._normals if colour not in pair]
         assert len(shared) == d and sorted(rebuilt) == [(0, 1), (0, 3), (0, 4)]
         assert table._packings.keys() == set(shared + rebuilt)
+        before = {pair: list(normals) for pair, normals in table._normals.items()}
         calls = count_span_normals(monkeypatch)
         successor = table.successor()
         # only the (d+1)^(d-2) normals through the one moved point, per list
         assert len(calls) == (d + 1) ** (d - 2) * len(rebuilt) == 25 * 3
+        assert table._normals == before  # the parent's lists are not written
         assert successor._normals.keys() == table._normals.keys()
         for pair in shared:
             assert successor._normals[pair] is table._normals[pair]
