@@ -33,10 +33,10 @@ integer point of its first uncovered cell, found without an LP: the cell's
 own witness, or, when that lies in a degenerate cone, a seeded point of the
 cell off every degenerate span.
 
-Exact coverage is supported for dimension <= 4 by default; the cell count
-grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4 cells from 16
-generic cones at d = 4) and dimension 5 is only permitted behind an explicit
-flag (80 hyperplanes, millions of cells: hours, not seconds).
+Exact coverage runs up to the coverage limit (dimension 4) by default; the
+cell count grows like 2 * sum_k C(m-1, k) for m hyperplanes (about 10^4
+cells from 16 generic cones at d = 4), and beyond it `covers_space` needs
+`allow_high_dimension` (80 hyperplanes, millions of cells at d = 5: hours).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .depth import ConeSpec, _ConeFamily, cone_contains
-from .errors import InputError
+from .errors import InputError, check_dimension
 from .exactgeom import (
     IntVec,
     Point,
@@ -61,7 +61,6 @@ from .exactgeom import (
 
 SignVector = tuple[int, ...]  # a cell as it leaves the package
 _GENERIC_SEED = 0x1D8A  # fixed: cell enumeration is a deterministic function of its input
-_MAX_DEFAULT_DIMENSION = 4
 # per dimension: the seeded generator and the (bound, offset) draws made so far
 _GENERIC_DRAWS: dict[int, tuple[random.Random, list[tuple[int, IntVec]]]] = {}
 
@@ -382,15 +381,6 @@ def _uncovered_direction(cones: Sequence[ConeSpec], w: Optional[IntVec] = None,
     return direction
 
 
-def _check_coverage_budget(d: int, allow_high_dimension: bool = False) -> None:
-    """Refuse exact coverage beyond dimension 4, before any work, unless allowed."""
-    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
-        raise InputError(
-            f"exact coverage in dimension {d} needs allow_high_dimension=True "
-            "(cell counts grow combinatorially: expect millions of cells and "
-            "hours of work beyond dimension 4)")
-
-
 def covers_space(cones: Sequence[ConeSpec], *,
                  allow_high_dimension: bool = False) -> CoverageCertificate:
     """Decide whether the union of the closed cones is all of space.
@@ -406,7 +396,7 @@ def covers_space(cones: Sequence[ConeSpec], *,
     (`_uncovered_direction`).
     """
     d = _check_cones(cones)
-    _check_coverage_budget(d, allow_high_dimension)
+    check_dimension("exact coverage", d, allow_high_dimension)
     family = _ConeFamily.of_cones(cones)
     hyperplanes = tuple(CentralHyperplane(n) for n in family.normals)
     if all(cone.facet_rows is None for cone in cones):

@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, check_dimension
 from .exactgeom import (
     IntVec,
     Point,
@@ -34,8 +34,6 @@ from .exactgeom import (
 )
 
 Transversal = tuple[int, ...]
-
-_MAX_DEFAULT_DIMENSION = 5
 
 
 @dataclass(frozen=True)
@@ -171,30 +169,17 @@ def transversal_points(config: Configuration, choice: Transversal) -> tuple[Poin
     return tuple(config.point(c, j) for c, j in enumerate(choice))
 
 
-def check_validation_budget(d: int, allow_high_dimension: bool = False) -> None:
-    """Refuse, before any work, a validation that would run for minutes or
-    hours: the general-position sweep visits all C((d+1)^2, d) d-subsets of
-    the points, about 14 million at d = 6."""
-    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
-        raise InputError(
-            f"validation in dimension {d} needs allow_high_dimension=True "
-            f"(the general-position sweep visits C({(d + 1) ** 2},{d}) = "
-            f"{comb((d + 1) ** 2, d):,} subsets of {d} points, plus up to "
-            f"C({(d + 1) ** 2},{d + 1}) = {comb((d + 1) ** 2, d + 1):,} determinants "
-            "where points are degenerate: about three minutes in general position "
-            "in dimension 6, and hours beyond)")
-
-
 def _origin_in_core(config: Configuration, allow_high_dimension: bool = False
                     ) -> tuple[bool, bool]:
     """(zero_in_core, zero_interior) of `validate`, from (d+1)(d+2) hull
-    tests; cached on the configuration object.  Refused beyond dimension 5
-    exactly as `validate` is, so the callers that need only these two flags
-    (the staged witnesses and the cross-position search) keep its budget."""
+    tests; cached on the configuration object.  Refused beyond the
+    validation limit exactly as `validate` is, so the callers that need only
+    these two flags (the staged witnesses and the cross-position search)
+    keep its budget."""
     cached = config.__dict__.get("_core")
     if cached is not None:
         return cached
-    check_validation_budget(config.dimension, allow_high_dimension)
+    check_dimension("validation", config.dimension, allow_high_dimension)
     from .depth import origin_in_convex_hull  # local import: depth builds on this module
 
     zero_in_core = all(origin_in_convex_hull(cls) for cls in config.colours)
@@ -316,14 +301,13 @@ def validate(config: Configuration, *,
     hyperplanes through it, computing determinants only where that pencil
     has a repeated or vanishing normal.  The report is cached on the
     configuration object, so every later call returns the same report
-    without recomputing it.  Beyond dimension 5 the call is refused with
-    `InputError` unless `allow_high_dimension` is set (or the report is
-    already cached).
+    without recomputing it.  Beyond the validation limit of
+    `errors.DIMENSION_LIMITS` (5) the call is refused with `InputError`
+    unless `allow_high_dimension` is set (or the report is already cached).
     """
     cached = config.__dict__.get("_validation")
     if cached is not None:
         return cached
-    check_validation_budget(config.dimension, allow_high_dimension)
     zero_in_core, zero_interior = _origin_in_core(config, allow_high_dimension)
 
     # Row i is point i times its scale factor m_i, followed by m_i.  The

@@ -19,8 +19,9 @@ family's shared facet normals (`_ConeFamily`): a cell's own mask from the
 enumeration, a point's from one dot product per normal.  A cell's exact
 witness is built only when it is output as the search direction, or when
 dependent cones, which are tested on points, need it.  The colour subset
-is checked as `d_depth` checks it; a decision beyond dimension 4 is
-refused before any cone is built.
+is checked as `d_depth` checks it; beyond the coverage limit (dimension 4)
+a decision or a search, which could not be certified, is refused before
+any cone is built.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arrangement import CoverageCertificate, _Arrangement, _check_coverage_budget, covers_space
+from .arrangement import CoverageCertificate, _Arrangement, covers_space
 from .configuration import Configuration, _origin_in_core
 from .depth import ConeSpec, _check_colour_subset, _ConeFamily
-from .errors import InputError
+from .errors import InputError, check_dimension
 from .exactgeom import IntVec, Point, is_zero_vec, primitive_normal, scale_to_integers
 
 _RANDOM_CANDIDATES = 64
@@ -91,7 +92,7 @@ def is_deformed_cross_position(pairs: Sequence[tuple[Point, Point]]
                 raise InputError(f"pair {c}: expected {d} coordinates, got {len(p)}")
             if is_zero_vec(p):
                 raise InputError(f"pair {c}: points must be nonzero")
-    _check_coverage_budget(d)
+    check_dimension("exact coverage", d)
     cones = [ConeSpec(tuple(pairs[i][bits[i]] for i in range(d)))
              for bits in itertools.product((0, 1), repeat=d)]
     return covers_space(cones)
@@ -148,6 +149,8 @@ def find_cross_position(config: Configuration, colours: Sequence[int], *,
     """
     d = config.dimension
     subset = _check_colour_subset(config, colours)
+    check_dimension("validation", d)  # first: its refusal names the larger cost
+    check_dimension("exact coverage", d)
     if not _origin_in_core(config)[1]:
         raise InputError("configuration must contain the origin strictly inside "
                          "every colour hull")

@@ -31,7 +31,7 @@ from .configuration import (
     Transversal,
     transversal_points,
 )
-from .errors import InputError
+from .errors import InputError, check_dimension
 from .exactgeom import (
     IntVec,
     Point,
@@ -561,30 +561,15 @@ class _MinorTable:
         return table
 
 
-_MAX_DEFAULT_DIMENSION = 6
-
-
-def _check_depth_budget(d: int, allow_high_dimension: bool = False) -> None:
-    """Refuse, before any table is built, a depth that would run for
-    minutes: the minor table keeps a bit of each mask and a minor per
-    colour for each of the (d+1)^(d+1) transversals."""
-    if d > _MAX_DEFAULT_DIMENSION and not allow_high_dimension:
-        raise InputError(
-            f"depth in dimension {d} needs allow_high_dimension=True "
-            f"(the minor table reads all {d + 1}^{d + 1} = {(d + 1) ** (d + 1):,} "
-            "transversals: about ten seconds and 130 MB in dimension 6, and minutes "
-            "and gigabytes beyond)")
-
-
 def colourful_depth(config: Configuration, allow_high_dimension: bool = False) -> DepthReport:
     """Count, over all transversals, the closed colourful simplices containing
     the origin, with barycentric witnesses in lexicographic order.
 
     The points are tested as given, each scaled to integers, through one
     `_MinorTable`; weights are read only for the containing transversals.
-    Dimensions beyond 6 raise `InputError` unless `allow_high_dimension`
-    is set."""
-    _check_depth_budget(config.dimension, allow_high_dimension)
+    Dimensions beyond the depth limit (6) raise `InputError` unless
+    `allow_high_dimension` is set."""
+    check_dimension("depth", config.dimension, allow_high_dimension)
     scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
     table = _MinorTable([[v for v, _ in cls] for cls in scaled])
     contained = _bits(table.inside)
@@ -719,7 +704,9 @@ class _ConeFamily:
 def d_depth(config: Configuration, colours: Sequence[int], x: Point) -> int:
     """Number of cones, one generator per colour in the given d-subset,
     containing the direction x.  The origin is rejected: every cone contains
-    it and the quantity is directional."""
+    it and the quantity is directional.  Refused, with no override, beyond
+    the subset-depth limit (5)."""
+    check_dimension("subset depth", config.dimension)
     subset = _check_colour_subset(config, colours)
     if len(x) != config.dimension:
         raise InputError(f"expected {config.dimension} coordinates, got {len(x)}")

@@ -43,14 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .configuration import (
-    Configuration,
-    check_validation_budget,
-    configuration_to_json_dict,
-    validate,
-)
+from .configuration import Configuration, configuration_to_json_dict, validate
 from .depth import _cofactor_verdict, _cofactors, _MinorTable, origin_in_convex_hull
-from .errors import InputError, ViolationError
+from .errors import InputError, ViolationError, check_dimension
 from .exactgeom import IntVec, normal_to_span, vec_dot, vec_neg
 from .witness import theorem_bound
 
@@ -107,10 +102,11 @@ def _anchored_class(points: list[tuple[Fraction, ...]], d: int
 def random_configuration(d: int, seed: int) -> Configuration:
     """A seeded valid configuration: origin strictly interior to every colour
     hull and all points in general position.  Deterministic per seed.
-    Dimensions beyond 5 are refused before sampling, as by `validate`."""
+    Dimensions beyond the validation limit are refused before sampling, as
+    by `validate`."""
     if d < 1:
         raise InputError(f"dimension must be positive, got {d}")
-    check_validation_budget(d)
+    check_dimension("validation", d)
     rng = random.Random(seed)
     for _ in range(_GENERATION_RETRIES):
         colours = tuple(

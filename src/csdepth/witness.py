@@ -12,7 +12,8 @@ and the stage totals telescope to the bound.
 When any stage's cross-position search fails (possible once the depth
 reaches d^2+d, and always in dimension 1), the generator falls back to full
 exact enumeration, which is sound unconditionally and meets the bound for
-every configuration with the origin in its core.
+every configuration with the origin in its core.  Beyond the coverage limit
+(dimension 4) no cross position is certified, so it enumerates at once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .configuration import (
 )
 from .crosspos import CrossPosition, CrossSearchFailure, find_cross_position
 from .depth import _ConeFamily, colourful_depth, simplex_contains_origin
-from .errors import InputError, ViolationError
+from .errors import DIMENSION_LIMITS, InputError, ViolationError
 from .exactgeom import scale_to_integers, vec_neg
 
 
@@ -94,8 +95,9 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
     containing the origin.
 
     Requires the origin in the core.  The staged construction additionally
-    needs the origin strictly inside every colour hull; otherwise, or when a
-    stage's cross-position search fails, the result is the full enumeration.
+    needs the origin strictly inside every colour hull and d within the
+    coverage limit; otherwise, or when a stage's search fails, the result is
+    the full enumeration.
     """
     d = config.dimension
     zero_in_core, zero_interior = _origin_in_core(config)
@@ -105,7 +107,7 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
     stage_log: list[WitnessStage] = []
     simplices: list[Transversal] = []
 
-    staged_ok = zero_interior
+    staged_ok = zero_interior and d <= DIMENSION_LIMITS["exact coverage"]
     if staged_ok:
         used: dict[int, set[int]] = {c: set() for c in range(d + 1)}
         for stage_index, quota in enumerate(_stage_quotas(d)):

@@ -26,6 +26,22 @@ def symmetric_example() -> Configuration:
     return Configuration(2, (tri, tri, tri))
 
 
+def interior_example_d5() -> Configuration:
+    """A valid d = 5 configuration with the origin strictly inside every
+    colour hull, not in general position: depth 7,446.  Colour 0 is
+    (1,...,1) and -2e_i; colour a+1 is -e_a and e_a + u/10 for each u in
+    {e_k : k != a} and -sum_{k != a} e_k."""
+    def e(i, s=1):
+        return fp(*[s if k == i else 0 for k in range(5)])
+
+    def colour(a):
+        us = [e(k) for k in range(5) if k != a] + [fp(*[-(k != a) for k in range(5)])]
+        return (e(a, -1),) + tuple(tuple(x + y / 10 for x, y in zip(e(a), u)) for u in us)
+
+    first = (fp(1, 1, 1, 1, 1),) + tuple(e(i, -2) for i in range(5))
+    return Configuration(5, (first,) + tuple(colour(a) for a in range(5)))
+
+
 def cross(a, b) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 

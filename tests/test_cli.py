@@ -17,7 +17,7 @@ import csdepth.cli
 from csdepth.cli import main
 from csdepth.errors import ViolationError
 
-from helpers import symmetric_example
+from helpers import interior_example_d5, symmetric_example
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +206,35 @@ class TestWitness:
         assert len(doc["result"]["simplices"]) == doc["result"]["count"]
 
 
+class TestBeyondCoverage:
+    """Beyond the coverage limit no cross position can be certified:
+    `witness` enumerates instead of stopping on the refusal, and `cross` is
+    refused before any cone."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "d5.json"
+        path.write_text(json.dumps(configuration_to_json_dict(interior_example_d5())))
+        return path
+
+    def test_witness_exits_0(self, capsys, path):
+        doc = run_json(capsys, "witness", str(path))
+        assert doc["result"]["count"] == 7446
+        assert [s["colour"] for s in doc["result"]["stage_log"]] == [-1]
+
+    def test_cross_on_a_generated_configuration_exits_2_before_any_cone(
+            self, tmp_path, capsys, monkeypatch):
+        import csdepth.crosspos
+        path = write_config(tmp_path, capsys, d=5, seed=1)
+        monkeypatch.setattr(csdepth.crosspos, "_ConeFamily", _fail_if_called("a cone table"))
+        code, out, err = run_cli(capsys, "cross", str(path), "--colours", "1,2,3,4,5")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: exact coverage in dimension 5 needs allow_high_dimension=True "
+                       "(cell counts grow combinatorially: expect millions of cells and "
+                       "hours of work beyond dimension 4)\n")
+
+
 class TestSearch:
     def test_small_run(self, capsys):
         doc = run_json(capsys, "search", "-d", "2", "--restarts", "2",
@@ -324,27 +353,57 @@ def _fail_if_called(what):
 
 
 class TestHighDimensionRefusal:
-    """`witness` and `cross` read only the core flags of `validate`, and
-    keep its refusal of dimension 6: exit 2 before any hull test or the
-    general-position sweep starts."""
+    """Every command exits 2 with one `error:` line at the first dimension
+    its rule in `errors.DIMENSION_LIMITS` refuses, before any hull test,
+    general-position sweep, sample, cone or minor table is started.
+    `witness`, `verify`, `search` and `cross` meet the validation limit at
+    d = 6 (`cross` checks it first), `cross` the coverage limit at d = 5 and
+    `ddepth` the subset-depth limit, which has no override, at d = 6."""
+
+    REFUSALS = {  # (command, first argument): the start of the error line
+        ("witness", "d6.json"): "validation in dimension 6 needs allow_high_dimension=True",
+        ("cross", "d6.json"): "validation in dimension 6 needs allow_high_dimension=True",
+        ("search", "-d"): "validation in dimension 6 needs allow_high_dimension=True",
+        ("verify", "d6.json"): "validation in dimension 6 needs allow_high_dimension=True",
+        ("cross", "d5.json"): "exact coverage in dimension 5 needs allow_high_dimension=True",
+        ("ddepth", "d6.json"): "subset depth in dimension 6 is refused (",
+    }
 
     @pytest.fixture
-    def config_d6(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(csdepth.depth, "origin_in_convex_hull",
-                            _fail_if_called("a hull test"))
-        monkeypatch.setattr(csdepth.configuration, "_dependent_subsets",
-                            _fail_if_called("the general-position sweep"))
+    def inputs(self, tmp_path, monkeypatch):
+        import csdepth.crosspos
+        import csdepth.search
         cls = [[str(k + 1) if k == i else "1" for k in range(6)] for i in range(7)]
-        path = tmp_path / "d6.json"
-        path.write_text(json.dumps({"d": 6, "colours": [cls] * 7}))
-        return path
+        (tmp_path / "d6.json").write_text(json.dumps({"d": 6, "colours": [cls] * 7}))
+        (tmp_path / "d5.json").write_text(
+            json.dumps(configuration_to_json_dict(interior_example_d5())))
+        monkeypatch.chdir(tmp_path)
+        for module, name, what in [
+                (csdepth.depth, "origin_in_convex_hull", "a hull test"),
+                (csdepth.configuration, "_dependent_subsets", "the general-position sweep"),
+                (csdepth.search, "_sample_point", "sampling"),
+                (csdepth.depth, "_ConeFamily", "a cone table"),
+                (csdepth.crosspos, "_ConeFamily", "a cone table"),
+                (csdepth.depth, "_MinorTable", "a minor table")]:
+            monkeypatch.setattr(module, name, _fail_if_called(what))
 
-    @pytest.mark.parametrize("argv", [["witness"], ["cross", "--colours", "0,1,2,3,4,5"]])
-    def test_exits_2_before_any_work(self, capsys, config_d6, argv):
-        code, out, err = run_cli(capsys, argv[0], str(config_d6), *argv[1:])
+    @pytest.mark.parametrize("argv", [
+        ["witness", "d6.json"],
+        ["cross", "d6.json", "--colours", "0,1,2,3,4,5"],
+        ["search", "-d", "6", "--restarts", "1", "--steps", "1"],
+        ["verify", "d6.json"],
+        ["cross", "d5.json", "--colours", "1,2,3,4,5"],
+        ["ddepth", "d6.json", "--colours", "0,1,2,3,4,5", "--dir", "1,0,0,0,0,0"],
+    ])
+    def test_exits_2_before_any_work(self, capsys, inputs, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "validation in dimension 6 needs allow_high_dimension=True" in err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: " + self.REFUSALS[argv[0], argv[1]])
+        if argv[0] == "ddepth":  # d_depth takes no override, so offers none
+            assert "allow_high_dimension" not in err
 
 
 class TestDepthRefusal:

@@ -16,7 +16,7 @@ from csdepth import (
     verify_witness_set,
 )
 
-from helpers import fp, symmetric_example
+from helpers import fp, interior_example_d5, symmetric_example
 
 
 class TestTheoremBound:
@@ -108,6 +108,17 @@ class TestGenerateWitnesses:
         a = generate_witnesses(config, seed=5)
         b = generate_witnesses(config, seed=5)
         assert a.simplices == b.simplices
+
+
+    def test_beyond_the_coverage_limit_enumerates_without_a_search(self, monkeypatch):
+        import csdepth.witness
+        monkeypatch.setattr(csdepth.witness, "find_cross_position",
+                            lambda *a, **k: pytest.fail("a cross-position search started"))
+        config = interior_example_d5()
+        ws = generate_witnesses(config)
+        assert len(ws.simplices) == colourful_depth(config).depth == 7446
+        assert [(s.colour, s.fallback) for s in ws.stage_log] == [(-1, True)]
+        assert verify_witness_set(config, ws)
 
 
 class TestGoldenStagedDigests:
