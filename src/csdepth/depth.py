@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -286,6 +287,13 @@ def _chunks(n: int, i: int, c: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
                  for g in range(0, len(bases), 8))
 
 
+@functools.cache
+def _colour_chunks(n: int, c: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Per byte of colour c's packing (`_MinorTable._colour_packing`), the
+    colour i whose minors it holds and the pair {i, c}'s `_chunks` entry."""
+    return tuple((i, first, table) for i in range(n) if i != c for first, table in _chunks(n, i, c))
+
+
 class _MinorTable:
     """Every colourful d×d minor of integer points, and the transversals
     whose closed simplices contain the origin, as bit masks.  Once built, a
@@ -320,25 +328,34 @@ class _MinorTable:
     move of colour c changes a set S of its points; only the minors with a
     point of S as their colour-c row change, so only the bits of the
     transversals through S are rewritten.  `propose` reads the signs of
-    those minors without writing them down.  Each coordinate column of a
-    pair's normals is packed into one int, a slot of W bits per normal
-    (Kronecker substitution, `_packed`), so sum_a p_a * column_a holds every
-    dot(p, N) in its slots: d multiply-adds per moved point.  2^(W-1) bounds
-    every |minor|, so adding 2^(W-1) to each slot, or 2^(W-1) - 1, carries
-    across no slot, and the top bit of a slot is then minor >= 0, or
-    minor >= 1: exact signs, zeros included.  Per-byte tables
-    (`_spread_table`) move those bits to the transversals.
+    those minors without writing them down.  A pair's packing holds each
+    coordinate column of its normals in one int, a slot of W bits per
+    normal (Kronecker substitution, `_pair_packing`).  Colour c's packing
+    (`_colour_packing`) is the shifted sum of the packings of its d pairs,
+    each negated by its `_layout` sign and padded with zero normals to
+    whole bytes, so sum_a p_a * column_a holds in its slots every minor
+    through p of every colour i != c: d multiply-adds per moved point.
+    2^(W-1) bounds every |minor|, so adding 2^(W-1) to each slot, or
+    2^(W-1) - 1, carries across no slot, and the top bit of a slot is then
+    minor >= 0, or minor >= 1: two reads give the exact signs of all d
+    colours, the positive minors, the zero ones, and the rest negative.
+    Per-byte tables (`_spread_table`) move those bits to the transversals.
+    Containment reads only the unions of the masks, so a proposal forms
+    them from the table's own (`_union`): outside the transversals through
+    S they stay, and through S colour c's own masks stay and the other
+    colours' are new.
 
     `successor` is the table of the last proposal's points, built by dot
     products: it is the tripwire, and raises AssertionError unless its
-    masks are the proposal's.  It holds every list this table held.  It
-    takes the lists of the pairs with the moved colour c as they are, and
-    their packings, since the normals of a pair {c, b} span points of the
-    other colours.  Every other list is a new one (`_moved_normals`) that
-    copies the normals whose colour-c point stayed and builds only the
-    (d+1)^(d-2) through each moved point; it is packed on first use.  A
-    colour of the successor may read such a list, so the tripwire checks
-    those normals too.  No list or packing is written after it is built.
+    masks are the per-colour masks the proposal kept.  It holds every list
+    this table held.  It takes the lists of the pairs with the moved colour
+    c as they are, with their packings, since the normals of a pair {c, b}
+    span points of the other colours.  Every other list is a new one
+    (`_moved_normals`) that copies the normals whose colour-c point stayed
+    and builds only the (d+1)^(d-2) through each moved point; it is packed
+    on first use, and so is every colour's packing.  A colour of the
+    successor may read such a list, so the tripwire checks those normals
+    too.  No list or packing is written after it is built.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]],
@@ -357,9 +374,11 @@ class _MinorTable:
         # colour-c point 0 by the comb of colour c
         self._point_zero = [full // comb for comb in self._combs]
         self._slots = n ** (n - 2)  # normals per pair
-        self._high_bits = int.from_bytes(b"\x80" * self._slots, "little")  # 8k + 7, k < slots
         self._normals = dict(normals or {})  # by colour pair
         self._packings = dict(packings or {})  # by colour pair
+        self._colour_packings = {}  # by colour
+        self._coordinate_bits = max(abs(x) for cls in self.points
+                                    for p in cls for x in p).bit_length()
         self.minors, self.positive, self.negative = [], [], []
         for i in range(n):
             # any colour c != i gives the minors of colour i as dot products:
@@ -370,7 +389,12 @@ class _MinorTable:
             self.minors.append(row)
             self.positive.append(pos)
             self.negative.append(neg)
-        self.lp, self.inside = self._decide(self.positive, self.negative, self.points, full, 0)
+        union_pos = union_neg = 0
+        for pos, neg in zip(self.positive, self.negative):
+            union_pos |= pos
+            union_neg |= neg
+        self._union = union_pos, union_neg
+        self.lp, self.inside = self._decide(union_pos, union_neg, self.points, full, 0)
         self.depth = self.inside.bit_count()
         self._pending = None
 
@@ -392,70 +416,57 @@ class _MinorTable:
                 [cls for o, cls in enumerate(self.points) if o not in pair], self.dimension)
         return self._normals[pair]
 
-    def _packed(self, i: int, c: int, bits: int) -> tuple[int, int, list[int], int, int]:
-        """The pair {i, c}'s normals packed column by column, one slot of
-        8w bits per normal, wide enough for the minors of points whose
-        coordinates have at most `bits` bits: (bits, w, the d columns, and
-        the biases 2^(8w-1) and 2^(8w-1) - 1 in every slot).  Packed on
-        first use, and again when a point has more bits."""
-        pair = (min(i, c), max(i, c))
+    def _pair_packing(self, pair: tuple[int, int], w: int) -> list[int]:
+        """The pair's normals packed column by column, one slot of 8w bits
+        per normal: column a is the sum of normal k's entry a times
+        2^(8wk).  Packed on first use, and again for another w."""
         packed = self._packings.get(pair)
+        if packed is None or packed[0] != w:
+            # each slot offset by 2^(8w-1) to be nonnegative, then the
+            # offsets taken off again
+            offset = 1 << 8 * w - 1
+            offsets = int.from_bytes((bytes(w - 1) + b"\x80") * self._slots, "little")
+            columns = [int.from_bytes(b"".join([(x + offset).to_bytes(w, "little")
+                                                for x in column]), "little") - offsets
+                       for column in zip(*self._pair_normals(*pair))]
+            packed = self._packings[pair] = (w, columns)
+        return packed[1]
+
+    def _colour_packing(self, c: int, bits: int) -> tuple[int, int, list[int], int, int, int]:
+        """The d pair packings of colour c at one slot width, each times its
+        `_layout` sign (i, c) and padded with zero normals to whole bytes,
+        as one shifted sum per coordinate column: (the most bits of a
+        coordinate whose minors its slots hold, w, the d columns, the
+        biases 2^(8w-1) and 2^(8w-1) - 1 in every slot, and bit 8k + 7 of
+        every slot k but the padding).  Slot k of pair {i, c}, the colours i != c ascending,
+        is minor k of colour i as `_chunks` reads it.  Packed on first use,
+        and again when a point has more bits than the slots hold."""
+        packed = self._colour_packings.get(c)
         if packed is None or packed[0] < bits:
-            bits = max(bits, max(abs(x) for cls in self.points for p in cls for x in p).bit_length())
-            normals = self._pair_normals(i, c)
-            top = max(abs(x) for normal in normals for x in normal).bit_length()
-            # |minor| <= d * max|p| * max|N| < 2^(8w-1)
-            w = (self.dimension.bit_length() + bits + top + 8) // 8
-            width = 8 * w
-            columns = []
-            for a in range(self.dimension):
-                # slots in two's complement, less the borrow of each negative one
-                twos = b"".join([normal[a].to_bytes(w, "little", signed=True) for normal in normals])
-                borrows = _mask([width * (k + 1) for k, normal in enumerate(normals) if normal[a] < 0],
-                                width * (self._slots + 1))
-                columns.append(int.from_bytes(twos, "little") - borrows)
-            ones = int.from_bytes((b"\x01" + bytes(w - 1)) * self._slots, "little")
-            half = ones << width - 1
-            packed = self._packings[pair] = (bits, w, columns, half, half - ones)
+            d = self.dimension
+            n = d + 1
+            others = [i for i in range(n) if i != c]
+            pairs = [(min(i, c), max(i, c)) for i in others]
+            bits = max(bits, self._coordinate_bits)
+            # |normal entry| <= (d-1)! 2^(bits(d-1)), so |minor| <= d! 2^(bits d) < 2^(8w-1);
+            # no narrower than a pair packing held, which would then be packed again
+            spare = math.factorial(d).bit_length() + 1
+            w = max([(bits * d + spare + 7) // 8] +
+                    [self._packings[pair][0] for pair in pairs if pair in self._packings])
+            padded = -(-self._slots // 8) * 8
+            columns = [0] * d
+            for k, (i, pair) in enumerate(zip(others, pairs)):
+                sign = _layout(n, i, c)[0]
+                shift = 8 * w * padded * k
+                for a, column in enumerate(self._pair_packing(pair, w)):
+                    columns[a] += sign * column << shift
+            ones = int.from_bytes((b"\x01" + bytes(w - 1)) * padded * d, "little")
+            half = ones << 8 * w - 1
+            high = int.from_bytes((b"\x80" * self._slots + bytes(padded - self._slots)) * d,
+                                  "little")
+            packed = (8 * w - spare) // d, w, columns, half, half - ones, high
+            self._colour_packings[c] = packed
         return packed
-
-    def _top_bits_of(self, total: int, w: int) -> int:
-        """Bit 8k + 7 of the result is the top bit of slot k of `total`."""
-        top = total.to_bytes(w * self._slots, "little")[w - 1::w]
-        return int.from_bytes(top, "little") & self._high_bits
-
-    def _spread(self, top_bits: int, chunks) -> int:
-        """The transversal bits of the slots whose top bits are set."""
-        mask = 0
-        compact = (top_bits * _GATHER).to_bytes(self._slots + 7, "little")[7::8]
-        for byte, (first, table) in zip(compact, chunks):
-            if byte:
-                mask |= table[byte] << first
-        return mask
-
-    def _signs(self, i: int, c: int, points, moved, bits: int) -> tuple[int, int]:
-        """The masks of the transversals with weight i > 0 and < 0 through
-        colour-c points `points[j]`, j in moved, of at most `bits` bits,
-        read from the pair's packed normals."""
-        n = self.dimension + 1
-        sign = _layout(n, i, c)[0]
-        chunks = _chunks(n, i, c)
-        _, w, columns, ge_bias, gt_bias = self._packed(i, c, bits)
-        step = self._low[c]
-        pos = neg = 0
-        for j in moved:
-            total = 0
-            for x, column in zip(points[j], columns):
-                total += x * column
-            ge = self._top_bits_of(total + ge_bias, w)
-            above = self._top_bits_of(total + gt_bias, w)
-            below = ge ^ self._high_bits
-            if sign < 0:
-                above, below = below, above
-            pos |= self._spread(above, chunks) << j * step
-            neg |= self._spread(below, chunks) << j * step
-        comb = self._combs[i]
-        return pos * comb, neg * comb
 
     def _rewrite(self, i: int, c: int) -> tuple[list[int], int, int]:
         """The minors of colour i, as dot products of the colour-c points
@@ -479,15 +490,10 @@ class _MinorTable:
         comb = self._combs[i]
         return row, _mask(pos, self._size) * comb, _mask(neg, self._size) * comb
 
-    def _decide(self, positive, negative, classes, through: int, lp: int) -> tuple[int, int]:
+    def _decide(self, pos: int, neg: int, classes, through: int, lp: int) -> tuple[int, int]:
         """(lp, inside) once the transversals in the mask `through` have the
-        weight masks given: cofactor signs, and exact feasibility for those
-        in `through` whose weights are all 0."""
-        pos = neg = 0
-        for mask in positive:
-            pos |= mask
-        for mask in negative:
-            neg |= mask
+        unions of the weight masks given: cofactor signs, and exact
+        feasibility for those in `through` whose weights are all 0."""
         lp &= ~through
         for t in _bits(through & ~(pos | neg)):
             verts = [classes[c][j] for c, j in enumerate(self.choice(t))]
@@ -499,24 +505,56 @@ class _MinorTable:
         """The exact depth with colour `colour`'s points replaced by `points`;
         the proposal is held for `successor` until the next one."""
         n = self.dimension + 1
-        moved = [j for j in range(n) if points[j] != self.points[colour][j]]
+        own = self.points[colour]
+        moved = [j for j in range(n) if points[j] != own[j]]
         classes = list(self.points)
         classes[colour] = list(points)
-        positive = list(self.positive)
-        negative = list(self.negative)
         through = 0
+        step = self._low[colour]
+        for j in moved:
+            through |= self._point_zero[colour] << j * step
+        # the masks through the moved points: colour `colour`'s stay, and
+        # the others are read from its packing
+        positive, negative = [0] * n, [0] * n
+        positive[colour] = self.positive[colour] & through
+        negative[colour] = self.negative[colour] & through
         if moved:
-            bits = max(abs(x) for j in moved for x in points[j]).bit_length()
+            bits = max([abs(x) for j in moved for x in points[j]]).bit_length()
+            _, w, columns, ge_bias, gt_bias, high = self._colour_packing(colour, bits)
+            chunks = _colour_chunks(n, colour)
+            slots = 8 * len(chunks)
+            zero = [0] * n
             for j in moved:
-                through |= self._point_zero[colour] << j * self._low[colour]
+                total = 0
+                for x, column in zip(points[j], columns):
+                    total += x * column
+                # bit 8k + 7 is set where minor k is >= 1, and >= 0
+                gt = int.from_bytes((total + gt_bias).to_bytes(w * slots, "little")[w - 1::w],
+                                    "little") & high
+                ge = int.from_bytes((total + ge_bias).to_bytes(w * slots, "little")[w - 1::w],
+                                    "little") & high
+                shift = j * step
+                for masks, top in (positive, gt), (zero, ge ^ gt):
+                    if top:
+                        # byte g: minors 8g .. 8g + 7
+                        compact = (top * _GATHER).to_bytes(slots + 7, "little")[7::8]
+                        for (i, first, table), byte in zip(chunks, compact):
+                            if byte:
+                                masks[i] |= table[byte] << first + shift
+            # each transversal through a moved point has one minor of each
+            # colour i: positive, zero, or else negative
             for i in range(n):
                 if i != colour:
-                    pos, neg = self._signs(i, colour, points, moved, bits)
-                    positive[i] = positive[i] & ~through | pos
-                    negative[i] = negative[i] & ~through | neg
-        lp, inside = self._decide(positive, negative, classes, through, self.lp)
-        self._pending = (colour, moved, classes, {"positive": positive, "negative": negative,
-                                                  "lp": lp, "inside": inside})
+                    positive[i] *= self._combs[i]
+                    negative[i] = through ^ positive[i] ^ zero[i] * self._combs[i]
+        keep = ~through
+        union_pos, union_neg = self._union[0] & keep, self._union[1] & keep
+        for pos in positive:
+            union_pos |= pos
+        for neg in negative:
+            union_neg |= neg
+        lp, inside = self._decide(union_pos, union_neg, classes, through, self.lp)
+        self._pending = (colour, moved, classes, through, positive, negative, lp, inside)
         return inside.bit_count()
 
     def _moved_normals(self, pair: tuple[int, int], colour: int, moved: Sequence[int],
@@ -544,16 +582,20 @@ class _MinorTable:
 
     def successor(self) -> "_MinorTable":
         """The table of the last proposal's points, built by dot products
-        with every normal list this table holds: those of the pairs with the
+        with every normal list this table held: those of the pairs with the
         moved colour and their packings as they are, the others through
         `_moved_normals`.  Raises AssertionError unless its masks are the
         proposal's."""
-        colour, moved, classes, proposed = self._pending
+        colour, moved, classes, through, positive, negative, lp, inside = self._pending
         table = _MinorTable(
             classes,
             {pair: normals if colour in pair else self._moved_normals(pair, colour, moved, classes)
              for pair, normals in self._normals.items()},
             {pair: packed for pair, packed in self._packings.items() if colour in pair})
+        keep = ~through
+        proposed = {"positive": [mask & keep | new for mask, new in zip(self.positive, positive)],
+                    "negative": [mask & keep | new for mask, new in zip(self.negative, negative)],
+                    "lp": lp, "inside": inside}
         for name, mask in proposed.items():
             if getattr(table, name) != mask:
                 raise AssertionError(
@@ -567,8 +609,13 @@ def colourful_depth(config: Configuration, allow_high_dimension: bool = False) -
 
     The points are tested as given, each scaled to integers, through one
     `_MinorTable`; weights are read only for the containing transversals.
+    The report is cached on the configuration object, as `validate`'s is,
+    so every later call returns it without building another table.
     Dimensions beyond the depth limit (6) raise `InputError` unless
-    `allow_high_dimension` is set."""
+    `allow_high_dimension` is set (or the report is already cached)."""
+    cached = config.__dict__.get("_depth")
+    if cached is not None:
+        return cached
     check_dimension("depth", config.dimension, allow_high_dimension)
     scaled = [[scale_to_integers(p) for p in cls] for cls in config.colours]
     table = _MinorTable([[v for v, _ in cls] for cls in scaled])
@@ -578,7 +625,9 @@ def colourful_depth(config: Configuration, allow_high_dimension: bool = False) -
         choice = table.choice(t)
         verts = [scaled[c][j] for c, j in enumerate(choice)]
         witnesses.append((choice, _contains_origin_scaled(verts, cs)[1]))
-    return DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))
+    report = DepthReport(depth=len(witnesses), witnesses=tuple(witnesses))
+    object.__setattr__(config, "_depth", report)
+    return report
 
 
 def _check_colour_subset(config: Configuration, colours: Sequence[int]) -> tuple[int, ...]:

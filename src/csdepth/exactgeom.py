@@ -88,6 +88,9 @@ def scale_to_integers(point: Sequence[Fraction]) -> tuple[IntVec, int]:
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
     n = len(rows)
+    if n == 2:
+        (a, b), (c, e) = rows
+        return a * e - b * c
     if n == 0:
         return 1
     m = [list(r) for r in rows]

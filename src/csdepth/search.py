@@ -19,16 +19,17 @@ descent keeps points as those integer vectors; `Fraction`s are made only
 for a bound violation's counterexample and the output.  Each proposal is
 evaluated exactly and incrementally: its depth is updated from the
 incumbent's minor table, reading the signs of only the minors through the
-moved points and rewriting only the sign bits of the transversals through
-them (`_ProposalScreen`).  A proposal is accepted iff that depth is below
-the incumbent's.  An accepted move adopts the proposal's
-`_MinorTable.successor`, a table of the new points whose minors are dot
-products, which share no arithmetic with the packed signs of a proposal:
-it is the tripwire, and its sign masks and containing transversals must
-equal the proposal's.  The successor recomputes only what the move
-changed: it keeps the incumbent's normal lists, rebuilding in each only
-the normals through the moved points, and the packings of the lists the
-move left unchanged.  Every depth, incremental or full, is checked
+moved points, those of every other colour at once from one packing of the
+moved colour's normals (d multiply-adds per moved point), and rewriting
+only the sign bits of the transversals through them (`_ProposalScreen`).
+A proposal is accepted iff that depth is below the incumbent's.  An
+accepted move adopts the proposal's `_MinorTable.successor`, a table of
+the new points whose minors are dot products, which share no arithmetic
+with the packed signs of a proposal: it is the tripwire, and its sign
+masks and containing transversals must equal the proposal's.  The
+successor recomputes only what the move changed: it keeps the
+incumbent's normal lists, rebuilding in each only the normals through the
+moved points, and the packings of the lists the move left unchanged.  Every depth, incremental or full, is checked
 against the proven lower bound; a violation aborts the search with the
 offending configuration attached, since it would be a counterexample to
 the bound or a defect in the predicates underneath.

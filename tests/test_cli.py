@@ -268,6 +268,24 @@ class TestVerify:
         doc = run_json(capsys, "verify", str(path))
         assert doc["result"]["passed"] is True
 
+    def test_one_minor_table_per_verify(self, tmp_path, capsys, monkeypatch):
+        # at d = 4 the staged witnesses fail at stage 0 and fall back to the
+        # enumeration, which reads the depth report of depth_lower_bounds
+        import csdepth.witness
+
+        path = write_config(tmp_path, capsys, d=4, seed=1)
+        depths, tables = [], []
+        table = csdepth.depth._MinorTable
+        monkeypatch.setattr(csdepth.depth, "_MinorTable",
+                            lambda *args: tables.append(args) or table(*args))
+        for module in (csdepth.cli, csdepth.witness):
+            depth = module.colourful_depth
+            monkeypatch.setattr(module, "colourful_depth",
+                                lambda config, f=depth: depths.append(config) or f(config))
+        doc = run_json(capsys, "verify", str(path))
+        assert doc["result"]["passed"] is True
+        assert len(depths) == 2 and len(tables) == 1
+
     def _depth_check(self, capsys, path):
         code, out, _ = run_cli(capsys, "verify", str(path))
         doc = json.loads(out)

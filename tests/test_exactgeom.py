@@ -12,6 +12,8 @@ from helpers import oracle_feasible_2d
 
 fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 integers = st.integers(min_value=-10_000, max_value=10_000)
+# entries up to 2^200, with zeros often enough to reach every pivot case
+entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(1 << 200), 1 << 200))
 
 
 class TestRationalStrings:
@@ -67,6 +69,30 @@ class TestDetSign:
     @given(st.tuples(integers, integers), st.tuples(integers, integers))
     def test_repeated_column_is_zero(self, a, b):
         assert int_det([a, a]) == 0
+
+    @given(st.tuples(entries, entries), st.tuples(entries, entries))
+    def test_2x2_equals_elimination(self, top, bottom):
+        # zero pivots come from the drawn zeros: a zero top-left entry, and
+        # a zero first column
+        assert int_det([top, bottom]) == elimination_det([top, bottom])
+
+
+def elimination_det(rows) -> int:
+    """Reference determinant by fraction-free elimination, swapping rows
+    past a zero pivot."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            m[i] = [(m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev for j in range(n)]
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 class TestFeasiblePoint:

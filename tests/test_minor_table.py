@@ -8,6 +8,7 @@ differ, and some draws plant a degeneracy (a repeated point, or a point on
 the line through two others)."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,8 +25,8 @@ from csdepth import (
     transversal_points,
     validate,
 )
-from csdepth.depth import _MinorTable, _origin_weights, _span_normals
-from csdepth.exactgeom import scale_to_integers
+from csdepth.depth import _layout, _MinorTable, _origin_weights, _span_normals
+from csdepth.exactgeom import scale_to_integers, vec_dot
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -258,14 +259,18 @@ class TestChainedSuccessors:
                 moved[j] = tuple(rng.choice([0, 2, -3]) * x for x in table.points[other][j])
             elif kind == "big":
                 # the pairs with this colour were packed by the last proposal
-                # and taken over; a point of more bits packs them again
+                # and taken over, too narrow for minors of 80-bit points; a
+                # point of 80 bits packs them and the colour again
                 pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
                 assert all(table._packings[pair] is parent._packings[pair] for pair in pairs)
-                assert all(table._packings[pair][0] < 80 for pair in pairs)
+                spare = math.factorial(d).bit_length() + 1
+                assert all(8 * table._packings[pair][0] < 80 * d + spare for pair in pairs)
                 moved[j] = ((1 << 79) + rng.randrange(1 << 79), *point()[1:])
             table.propose(colour, moved)
             if kind == "big":
-                assert all(table._packings[pair][0] >= 80 for pair in pairs)
+                capacity, w = table._colour_packings[colour][:2]
+                assert capacity >= 80 and 8 * w >= 80 * d + spare
+                assert all(table._packings[pair][0] == w for pair in pairs)
             parent, table = table, table.successor()
             assert parent._normals.keys() <= table._normals.keys()
             if kind == "none":
@@ -361,10 +366,25 @@ def integer_points(draw, d: int, count: int, bits: int) -> list:
     return [tuple(draw(coord) for _ in range(d)) for _ in range(count)]
 
 
+def slot_values(total: int, w: int, count: int) -> list[int]:
+    """The signed values of the first `count` slots of 8w bits of a packed
+    sum, lowest first."""
+    width = 8 * w
+    values = []
+    for _ in range(count):
+        low = total & (1 << width) - 1
+        value = low - (1 << width) if low >> width - 1 else low
+        values.append(value)
+        total = (total - value) >> width
+    return values
+
+
 def check_proposal(table: _MinorTable, colour: int, points: list) -> _MinorTable:
-    """Each colour's packed signs for the proposal equal the signs of the
-    dot products of a fresh table of the new points, the successor accepts
-    them, and the successor equals that fresh table; returns the successor."""
+    """Each moved point's slots in its colour's packing are the minors of a
+    fresh table of the new points, dot products of other normals, in the
+    order the packing promises; the proposal's masks through the moved
+    points equal the fresh table's; the successor accepts them and equals
+    that fresh table.  Returns the successor."""
     n = table.dimension + 1
     moved = [j for j in range(n) if points[j] != table.points[colour][j]]
     classes = list(table.points)
@@ -373,12 +393,25 @@ def check_proposal(table: _MinorTable, colour: int, points: list) -> _MinorTable
     through = 0
     for j in moved:
         through |= table._point_zero[colour] << j * table._low[colour]
-    bits = max((abs(x) for j in moved for x in points[j]), default=0).bit_length()
-    for i in range(n):
-        if i != colour:
-            want = fresh.positive[i] & through, fresh.negative[i] & through
-            assert table._signs(i, colour, points, moved, bits) == want
     depth = table.propose(colour, points)
+    if moved:
+        bits = max(abs(x) for j in moved for x in points[j]).bit_length()
+        capacity, w, columns, *_ = table._colour_packings[colour]
+        assert capacity >= bits
+        padded = -(-table._slots // 8) * 8
+        for j in moved:
+            total = sum(x * column for x, column in zip(points[j], columns))
+            want = []
+            for i in range(n):
+                if i != colour:
+                    _, starts, _, stride = _layout(n, i, colour)
+                    want += [fresh.minors[i][start + j * stride] for start in starts]
+                    want += [0] * (padded - table._slots)
+            assert slot_values(total, w, len(want)) == want
+    pending_colour, _, _, pending_through, positive, negative, _, _ = table._pending
+    assert (pending_colour, pending_through) == (colour, through)
+    assert positive == [mask & through for mask in fresh.positive]
+    assert negative == [mask & through for mask in fresh.negative]
     successor = table.successor()
     assert successor.points == fresh.points
     assert successor.minors == fresh.minors
@@ -389,13 +422,13 @@ def check_proposal(table: _MinorTable, colour: int, points: list) -> _MinorTable
 
 
 class TestPackedSigns:
-    """`propose` reads minor signs from the top bits of packed slots; the
-    reference is the dot products of the same points and normals, and a
-    fresh table.  Draws reach 2^200, plant zero minors (a moved point that
-    is 0 or a multiple of another colour's point), read normals that a
-    successor built after a move of another colour, move a point to more
-    bits than the packing allows, which forces a repack, and move no
-    point."""
+    """`propose` reads minor signs from the top bits of the slots of one
+    packing per moved colour; the reference is a fresh table's dot products
+    of the same points with other normals.  Draws reach 2^200, plant zero
+    minors (a moved point that is 0 or a multiple of another colour's
+    point), read normals that a successor built after a move of another
+    colour, move a point to more bits than the packing holds, which forces
+    a repack, and move no point."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -403,8 +436,9 @@ class TestPackedSigns:
         d = data.draw(st.integers(1, 4), label="d")
         n = d + 1
         small = data.draw(st.integers(1, 100), label="small bits")
-        # multiples by -3 below reach small + 2 bits
-        big = data.draw(st.integers(small + 3, 200), label="big bits")
+        # multiples by -3 below reach small + 2 bits, and the +1 move one
+        # more; a packing's slots round its bits up by at most 7
+        big = data.draw(st.integers(small + 11, 200), label="big bits")
         pts = integer_points(data.draw, d, n * n, small)
         table = _MinorTable([pts[k * n:(k + 1) * n] for k in range(n)])
         colour = data.draw(st.integers(0, d), label="colour")
@@ -426,18 +460,21 @@ class TestPackedSigns:
             table = check_proposal(table, c, moved)
 
         # a point of more bits than every point the packing has seen: a
-        # smaller move packs the pairs first, and the bigger one repacks them
+        # smaller move packs the colour first, and the bigger one repacks
+        # it and its pairs
         pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
         moved = list(table.points[colour])
         j = data.draw(st.integers(0, d))
         moved[j] = tuple(x + 1 for x in moved[j])
         table.propose(colour, moved)
-        assert all(table._packings[pair][0] < big for pair in pairs)
+        assert table._colour_packings[colour][0] < big
         moved[j] = ((1 << big - 1) + data.draw(st.integers(0, (1 << big - 1) - 1)),
                     *integer_points(data.draw, d, 1, big)[0][1:])
         proposing = table
         table = check_proposal(table, colour, moved)
-        assert all(proposing._packings[pair][0] >= big for pair in pairs)
+        capacity, w = proposing._colour_packings[colour][:2]
+        assert capacity >= big
+        assert all(proposing._packings[pair][0] == w for pair in pairs)
 
         # a proposal that moves no point
         before = table.inside
@@ -456,17 +493,21 @@ class TestPackedSigns:
         moved[2] = point()
         table = _MinorTable(points)
         table.propose(1, moved)
-        table.successor()  # the unflipped kernel agrees
+        table.successor()  # the unflipped packing agrees
 
-        top_bits_of = _MinorTable._top_bits_of
-        calls = []
+        colour_packing = _MinorTable._colour_packing
 
-        def flipped(self, total, w):
-            calls.append(w)
-            bits = top_bits_of(self, total, w)
-            return bits ^ 0x80 if len(calls) == 1 else bits  # slot 0, first read
+        def flipped(self, c, bits):
+            # negate slot 0, the first normal of the pair {0, 1}: the
+            # minor of colour 0 through each moved point's first slot
+            capacity, w, columns, *biases = colour_packing(self, c, bits)
+            sign = _layout(d + 1, 0, c)[0]
+            normal = self._pair_normals(0, c)[0]
+            assert vec_dot(moved[2], normal) != 0
+            return (capacity, w, [column - 2 * sign * x for column, x in zip(columns, normal)],
+                    *biases)
 
-        monkeypatch.setattr(_MinorTable, "_top_bits_of", flipped)
+        monkeypatch.setattr(_MinorTable, "_colour_packing", flipped)
         table = _MinorTable(points)
         table.propose(1, moved)
         with pytest.raises(AssertionError, match="disagrees with a fresh table"):
