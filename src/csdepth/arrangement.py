@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .depth import ConeSpec, _ConeFamily, cone_contains
+from .depth import ConeSpec, _ConeFamily, _sides, cone_contains
 from .errors import InputError, check_dimension
 from .exactgeom import (
     IntVec,
@@ -134,6 +134,7 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
     if d not in _GENERIC_DRAWS:
         _GENERIC_DRAWS[d] = random.Random(_GENERIC_SEED), []
     rng, draws = _GENERIC_DRAWS[d]
+    full = (1 << len(normals)) - 1
     k = 0
     while True:
         if k == len(draws):
@@ -142,9 +143,9 @@ def _generic_direction(normals: Sequence[IntVec], d: int, w: Optional[IntVec] = 
         bound, x = draws[k]
         if w is not None:
             x = tuple((1 + bound * reach) * a + b for a, b in zip(w, x))
-        dots = [vec_dot(n, x) for n in normals]
-        if all(dots):
-            return x, sum(1 << i for i, t in enumerate(dots) if t > 0)
+        above, below = _sides(normals, x)
+        if above | below == full:
+            return x, above
         k += 1
 
 
@@ -331,10 +332,9 @@ class _Arrangement:
         """The `point` of the cell of mask `sigma`, re-checked strictly
         against every hyperplane."""
         x = self.point(sigma, j)
-        for k, n in enumerate(self.normals):
-            s = 1 if sigma >> k & 1 else -1
-            if s * vec_dot(n, x) <= 0:
-                raise AssertionError("wall crossing produced a bad witness")
+        full = (1 << len(self.normals)) - 1
+        if _sides(self.normals, x) != (sigma, full ^ sigma):
+            raise AssertionError("wall crossing produced a bad witness")
         return x
 
 

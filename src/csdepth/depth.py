@@ -254,6 +254,19 @@ def _spread_table(offsets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _sides(normals: Sequence[IntVec], x: IntVec) -> tuple[int, int]:
+    """Bit masks of the normals with x on their positive and on their
+    negative side; a normal through x is in neither."""
+    above = below = 0
+    for k, n in enumerate(normals):
+        t = vec_dot(n, x)
+        if t > 0:
+            above |= 1 << k
+        elif t < 0:
+            below |= 1 << k
+    return above, below
+
+
 def _span_normals(classes: Sequence[Sequence[IntVec]], d: int) -> list[IntVec]:
     """`normal_to_span` of one point of each of d-1 classes, for every choice
     of points in lexicographic order; the zero vector where they span less."""
@@ -278,20 +291,18 @@ def _layout(n: int, i: int, c: int) -> tuple[int, tuple[int, ...], tuple[int, ..
 
 
 @functools.cache
-def _chunks(n: int, i: int, c: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per byte of the pair {i, c}'s normals, the transversal of its first
-    (as in `_layout`) and the `_spread_table` of the transversals of all
-    eight relative to that one."""
-    bases = _layout(n, i, c)[2]
-    return tuple((bases[g], _spread_table(tuple(b - bases[g] for b in bases[g:g + 8])))
-                 for g in range(0, len(bases), 8))
-
-
-@functools.cache
 def _colour_chunks(n: int, c: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per byte of colour c's packing (`_MinorTable._colour_packing`), the
-    colour i whose minors it holds and the pair {i, c}'s `_chunks` entry."""
-    return tuple((i, first, table) for i in range(n) if i != c for first, table in _chunks(n, i, c))
+    """Per byte of colour c's packing (`_MinorTable._colour_packing`): the
+    colour i whose minors it holds, the transversal of its first (as in
+    `_layout`) and the `_spread_table` of the transversals of all eight
+    relative to that one."""
+    chunks = []
+    for i in range(n):
+        if i != c:
+            bases = _layout(n, i, c)[2]
+            chunks += [(i, bases[g], _spread_table(tuple(b - bases[g] for b in bases[g:g + 8])))
+                       for g in range(0, len(bases), 8)]
+    return tuple(chunks)
 
 
 class _MinorTable:
@@ -328,39 +339,38 @@ class _MinorTable:
     move of colour c changes a set S of its points; only the minors with a
     point of S as their colour-c row change, so only the bits of the
     transversals through S are rewritten.  `propose` reads the signs of
-    those minors without writing them down.  A pair's packing holds each
-    coordinate column of its normals in one int, a slot of W bits per
-    normal (Kronecker substitution, `_pair_packing`).  Colour c's packing
-    (`_colour_packing`) is the shifted sum of the packings of its d pairs,
-    each negated by its `_layout` sign and padded with zero normals to
-    whole bytes, so sum_a p_a * column_a holds in its slots every minor
-    through p of every colour i != c: d multiply-adds per moved point.
-    2^(W-1) bounds every |minor|, so adding 2^(W-1) to each slot, or
-    2^(W-1) - 1, carries across no slot, and the top bit of a slot is then
-    minor >= 0, or minor >= 1: two reads give the exact signs of all d
-    colours, the positive minors, the zero ones, and the rest negative.
-    Per-byte tables (`_spread_table`) move those bits to the transversals.
-    Containment reads only the unions of the masks, so a proposal forms
-    them from the table's own (`_union`): outside the transversals through
-    S they stay, and through S colour c's own masks stay and the other
-    colours' are new.
+    those minors without writing them down.  Colour c's packing
+    (`_colour_packing`) holds each coordinate column of its d pairs'
+    normals in one int, a slot of W bits per normal (Kronecker
+    substitution), each negated by its `_layout` sign and each pair padded
+    with zero normals to whole bytes, so sum_a p_a * column_a holds in its
+    slots every minor through p of every colour i != c: d multiply-adds
+    per moved point.  2^(W-1) bounds every |minor|, so adding 2^(W-1) to
+    each slot, or 2^(W-1) - 1, carries across no slot, and the top bit of
+    a slot is then minor >= 0, or minor >= 1: two reads give the exact
+    signs of all d colours, the positive minors, the zero ones, and the
+    rest negative.  Per-byte tables (`_spread_table`) move those bits to
+    the transversals.  Containment reads only the unions of the masks, so
+    a proposal forms them from the table's own (`_union`): outside the
+    transversals through S they stay, and through S colour c's own masks
+    stay and the other colours' are new.
 
     `successor` is the table of the last proposal's points, built by dot
     products: it is the tripwire, and raises AssertionError unless its
     masks are the per-colour masks the proposal kept.  It holds every list
     this table held.  It takes the lists of the pairs with the moved colour
-    c as they are, with their packings, since the normals of a pair {c, b}
-    span points of the other colours.  Every other list is a new one
-    (`_moved_normals`) that copies the normals whose colour-c point stayed
-    and builds only the (d+1)^(d-2) through each moved point; it is packed
-    on first use, and so is every colour's packing.  A colour of the
-    successor may read such a list, so the tripwire checks those normals
-    too.  No list or packing is written after it is built.
+    c as they are, and colour c's packing, which reads only those lists:
+    the normals of a pair {c, b} span points of the other colours.  Every
+    other list is a new one (`_moved_normals`) that copies the normals
+    whose colour-c point stayed and builds only the (d+1)^(d-2) through
+    each moved point; every other colour is packed on first use.  A colour
+    of the successor may read such a list, so the tripwire checks those
+    normals too.  No list or packing is written after it is built.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]],
                  normals: Optional[dict[tuple[int, int], list[IntVec]]] = None,
-                 packings: Optional[dict[tuple[int, int], tuple]] = None):
+                 colour_packings: Optional[dict[int, tuple]] = None):
         d = len(points) - 1
         n = d + 1
         self.dimension = d
@@ -375,8 +385,7 @@ class _MinorTable:
         self._point_zero = [full // comb for comb in self._combs]
         self._slots = n ** (n - 2)  # normals per pair
         self._normals = dict(normals or {})  # by colour pair
-        self._packings = dict(packings or {})  # by colour pair
-        self._colour_packings = {}  # by colour
+        self._colour_packings = dict(colour_packings or {})  # by colour
         self._coordinate_bits = max(abs(x) for cls in self.points
                                     for p in cls for x in p).bit_length()
         self.minors, self.positive, self.negative = [], [], []
@@ -416,50 +425,36 @@ class _MinorTable:
                 [cls for o, cls in enumerate(self.points) if o not in pair], self.dimension)
         return self._normals[pair]
 
-    def _pair_packing(self, pair: tuple[int, int], w: int) -> list[int]:
-        """The pair's normals packed column by column, one slot of 8w bits
-        per normal: column a is the sum of normal k's entry a times
-        2^(8wk).  Packed on first use, and again for another w."""
-        packed = self._packings.get(pair)
-        if packed is None or packed[0] != w:
-            # each slot offset by 2^(8w-1) to be nonnegative, then the
-            # offsets taken off again
-            offset = 1 << 8 * w - 1
-            offsets = int.from_bytes((bytes(w - 1) + b"\x80") * self._slots, "little")
-            columns = [int.from_bytes(b"".join([(x + offset).to_bytes(w, "little")
-                                                for x in column]), "little") - offsets
-                       for column in zip(*self._pair_normals(*pair))]
-            packed = self._packings[pair] = (w, columns)
-        return packed[1]
-
     def _colour_packing(self, c: int, bits: int) -> tuple[int, int, list[int], int, int, int]:
-        """The d pair packings of colour c at one slot width, each times its
-        `_layout` sign (i, c) and padded with zero normals to whole bytes,
-        as one shifted sum per coordinate column: (the most bits of a
-        coordinate whose minors its slots hold, w, the d columns, the
-        biases 2^(8w-1) and 2^(8w-1) - 1 in every slot, and bit 8k + 7 of
-        every slot k but the padding).  Slot k of pair {i, c}, the colours i != c ascending,
-        is minor k of colour i as `_chunks` reads it.  Packed on first use,
-        and again when a point has more bits than the slots hold."""
+        """Colour c's d normal lists packed column by column, one slot of 8w
+        bits per normal, the lists of the pairs {i, c} for the colours
+        i != c ascending, each padded with zero normals to whole bytes:
+        (the most bits of a coordinate whose minors its slots hold, w, the
+        d columns, the biases 2^(8w-1) and 2^(8w-1) - 1 in every slot, and
+        bit 8k + 7 of every slot k but the padding).  Slot k of column a
+        holds entry a of the pair's normal k times its `_layout` sign
+        (i, c), so slot k of the pair {i, c} in sum_a p_a * column_a is
+        minor k of colour i as `_colour_chunks` reads it.  Packed on first
+        use, and again when a point has more bits than the slots hold."""
         packed = self._colour_packings.get(c)
         if packed is None or packed[0] < bits:
             d = self.dimension
             n = d + 1
-            others = [i for i in range(n) if i != c]
-            pairs = [(min(i, c), max(i, c)) for i in others]
             bits = max(bits, self._coordinate_bits)
-            # |normal entry| <= (d-1)! 2^(bits(d-1)), so |minor| <= d! 2^(bits d) < 2^(8w-1);
-            # no narrower than a pair packing held, which would then be packed again
+            # |normal entry| <= (d-1)! 2^(bits(d-1)), so |minor| <= d! 2^(bits d) < 2^(8w-1)
             spare = math.factorial(d).bit_length() + 1
-            w = max([(bits * d + spare + 7) // 8] +
-                    [self._packings[pair][0] for pair in pairs if pair in self._packings])
+            w = (bits * d + spare + 7) // 8
             padded = -(-self._slots // 8) * 8
-            columns = [0] * d
-            for k, (i, pair) in enumerate(zip(others, pairs)):
-                sign = _layout(n, i, c)[0]
-                shift = 8 * w * padded * k
-                for a, column in enumerate(self._pair_packing(pair, w)):
-                    columns[a] += sign * column << shift
+            # each slot biased by +-2^(8w-1), its sign's, to be nonnegative:
+            # |x + bias| is 2^(8w-1) + sign * x; the biases are taken off again
+            gap = bytes(w * (padded - self._slots))
+            offsets = int.from_bytes(((bytes(w - 1) + b"\x80") * self._slots + gap) * d, "little")
+            lists = [(_layout(n, i, c)[0] << 8 * w - 1, self._pair_normals(i, c))
+                     for i in range(n) if i != c]
+            columns = [int.from_bytes(b"".join([b"".join([abs(row[a] + bias).to_bytes(w, "little")
+                                                          for row in normals]) + gap
+                                                for bias, normals in lists]), "little") - offsets
+                       for a in range(d)]
             ones = int.from_bytes((b"\x01" + bytes(w - 1)) * padded * d, "little")
             half = ones << 8 * w - 1
             high = int.from_bytes((b"\x80" * self._slots + bytes(padded - self._slots)) * d,
@@ -583,15 +578,15 @@ class _MinorTable:
     def successor(self) -> "_MinorTable":
         """The table of the last proposal's points, built by dot products
         with every normal list this table held: those of the pairs with the
-        moved colour and their packings as they are, the others through
-        `_moved_normals`.  Raises AssertionError unless its masks are the
-        proposal's."""
+        moved colour as they are, with that colour's packing, the others
+        through `_moved_normals`.  Raises AssertionError unless its masks
+        are the proposal's."""
         colour, moved, classes, through, positive, negative, lp, inside = self._pending
         table = _MinorTable(
             classes,
             {pair: normals if colour in pair else self._moved_normals(pair, colour, moved, classes)
              for pair, normals in self._normals.items()},
-            {pair: packed for pair, packed in self._packings.items() if colour in pair})
+            {c: packed for c, packed in self._colour_packings.items() if c == colour})
         keep = ~through
         proposed = {"positive": [mask & keep | new for mask, new in zip(self.positive, positive)],
                     "negative": [mask & keep | new for mask, new in zip(self.negative, negative)],
@@ -712,16 +707,8 @@ class _ConeFamily:
         self.dependent = None in self._masks
 
     def sides(self, x: IntVec) -> tuple[int, int]:
-        """Bit masks of the `normals` with x on their positive and on their
-        negative side; a normal through x is in neither."""
-        above = below = 0
-        for k, n in enumerate(self.normals):
-            t = vec_dot(n, x)
-            if t > 0:
-                above |= 1 << k
-            elif t < 0:
-                below |= 1 << k
-        return above, below
+        """The `_sides` of x over the family's `normals`."""
+        return _sides(self.normals, x)
 
     def containing(self, x: Optional[IntVec], cell: Optional[int] = None) -> list:
         """Choices whose closed cones contain the point x, in order.  The

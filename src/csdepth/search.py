@@ -29,10 +29,11 @@ with the packed signs of a proposal: it is the tripwire, and its sign
 masks and containing transversals must equal the proposal's.  The
 successor recomputes only what the move changed: it keeps the
 incumbent's normal lists, rebuilding in each only the normals through the
-moved points, and the packings of the lists the move left unchanged.  Every depth, incremental or full, is checked
-against the proven lower bound; a violation aborts the search with the
-offending configuration attached, since it would be a counterexample to
-the bound or a defect in the predicates underneath.
+moved points, and the moved colour's packing, which reads only lists the
+move left unchanged.  Every depth, incremental or full, is checked against
+the proven lower bound; a violation aborts the search with the offending
+configuration attached, since it would be a counterexample to the bound or
+a defect in the predicates underneath.
 """
 
 from __future__ import annotations

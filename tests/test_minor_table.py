@@ -195,7 +195,7 @@ class TestOneNormalListPerPair:
         shared = [pair for pair in table._normals if colour in pair]
         rebuilt = [pair for pair in table._normals if colour not in pair]
         assert len(shared) == d and sorted(rebuilt) == [(0, 1), (0, 3), (0, 4)]
-        assert table._packings.keys() == set(shared + rebuilt)
+        assert table._colour_packings.keys() == {0, colour}
         before = {pair: list(normals) for pair, normals in table._normals.items()}
         calls = count_span_normals(monkeypatch)
         successor = table.successor()
@@ -205,11 +205,45 @@ class TestOneNormalListPerPair:
         assert successor._normals.keys() == table._normals.keys()
         for pair in shared:
             assert successor._normals[pair] is table._normals[pair]
-            assert successor._packings[pair] is table._packings[pair]
+            assert successor._colour_packings[colour] is table._colour_packings[colour]
         for pair in rebuilt:
             assert successor._normals[pair] is not table._normals[pair]
             assert successor._normals[pair] == fresh_normals(successor.points, pair)
-            assert pair not in successor._packings  # packed again on first use
+            assert not set(pair) & successor._colour_packings.keys()  # packed on first use
+
+    def test_successor_takes_over_the_moved_colours_packing(self):
+        d = 3
+        rng = random.Random(13)
+
+        def point(bits=5):
+            return tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(d))
+
+        table = _MinorTable([[point() for _ in range(d + 1)] for _ in range(d + 1)])
+        colour = 1
+        table.propose(0, [point() for _ in range(d + 1)])
+        moved = list(table.points[colour])
+        moved[2] = point()
+        table.propose(colour, moved)
+        packed = table._colour_packings[colour]
+        columns = list(packed[2])
+        successor = table.successor()
+        # the one packing of the moved colour, the same object, and no other
+        assert successor._colour_packings.keys() == {colour}
+        assert successor._colour_packings[colour] is packed
+        # a further proposal of that colour builds no packing
+        moved = list(successor.points[colour])
+        moved[0] = point()
+        successor.propose(colour, moved)
+        assert successor._colour_packings.keys() == {colour}
+        assert successor._colour_packings[colour] is packed
+        assert successor.successor().depth == _MinorTable(successor._pending[2]).depth
+        # a point of more bits repacks the colour in the successor alone
+        moved[0] = ((1 << 80) + rng.randrange(1 << 80), *point()[1:])
+        depth = successor.propose(colour, moved)
+        assert successor._colour_packings[colour] is not packed
+        assert successor._colour_packings[colour][0] >= 81 > packed[0]
+        assert table._colour_packings[colour] is packed and packed[2] == columns
+        assert depth == successor.successor().depth == _MinorTable(successor._pending[2]).depth
 
 
 class TestChainedSuccessors:
@@ -258,19 +292,18 @@ class TestChainedSuccessors:
                 other = (colour + 1 + rng.randrange(d)) % n
                 moved[j] = tuple(rng.choice([0, 2, -3]) * x for x in table.points[other][j])
             elif kind == "big":
-                # the pairs with this colour were packed by the last proposal
-                # and taken over, too narrow for minors of 80-bit points; a
-                # point of 80 bits packs them and the colour again
-                pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
-                assert all(table._packings[pair] is parent._packings[pair] for pair in pairs)
+                # this colour was packed by the last proposal and its packing
+                # taken over, too narrow for minors of 80-bit points; a point
+                # of 80 bits packs the colour again, in this table alone
+                assert table._colour_packings[colour] is parent._colour_packings[colour]
                 spare = math.factorial(d).bit_length() + 1
-                assert all(8 * table._packings[pair][0] < 80 * d + spare for pair in pairs)
+                assert 8 * table._colour_packings[colour][1] < 80 * d + spare
                 moved[j] = ((1 << 79) + rng.randrange(1 << 79), *point()[1:])
             table.propose(colour, moved)
             if kind == "big":
                 capacity, w = table._colour_packings[colour][:2]
                 assert capacity >= 80 and 8 * w >= 80 * d + spare
-                assert all(table._packings[pair][0] == w for pair in pairs)
+                assert 8 * parent._colour_packings[colour][1] < 80 * d + spare
             parent, table = table, table.successor()
             assert parent._normals.keys() <= table._normals.keys()
             if kind == "none":
@@ -460,9 +493,8 @@ class TestPackedSigns:
             table = check_proposal(table, c, moved)
 
         # a point of more bits than every point the packing has seen: a
-        # smaller move packs the colour first, and the bigger one repacks
-        # it and its pairs
-        pairs = [(min(i, colour), max(i, colour)) for i in range(n) if i != colour]
+        # smaller move reads the packing taken over, and the bigger one
+        # repacks it
         moved = list(table.points[colour])
         j = data.draw(st.integers(0, d))
         moved[j] = tuple(x + 1 for x in moved[j])
@@ -472,9 +504,8 @@ class TestPackedSigns:
                     *integer_points(data.draw, d, 1, big)[0][1:])
         proposing = table
         table = check_proposal(table, colour, moved)
-        capacity, w = proposing._colour_packings[colour][:2]
-        assert capacity >= big
-        assert all(proposing._packings[pair][0] == w for pair in pairs)
+        assert proposing._colour_packings[colour][0] >= big
+        assert proposing._colour_packings.keys() == {colour}
 
         # a proposal that moves no point
         before = table.inside
