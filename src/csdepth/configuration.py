@@ -89,6 +89,11 @@ def _load_document(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError as e:
+        # an integer literal past the interpreter's digit limit
+        raise ParseError(f"JSON number: {e}") from None
     # CLI reports wrap their payload in {"manifest":..., "result":...}; accept both.
     if isinstance(doc, dict) and "result" in doc and "d" not in doc:
         doc = doc["result"]

@@ -358,19 +358,18 @@ class _MinorTable:
     `successor` is the table of the last proposal's points, built by dot
     products: it is the tripwire, and raises AssertionError unless its
     masks are the per-colour masks the proposal kept.  It holds every list
-    this table held.  It takes the lists of the pairs with the moved colour
-    c as they are, and colour c's packing, which reads only those lists:
-    the normals of a pair {c, b} span points of the other colours.  Every
-    other list is a new one (`_moved_normals`) that copies the normals
-    whose colour-c point stayed and builds only the (d+1)^(d-2) through
-    each moved point; every other colour is packed on first use.  A colour
-    of the successor may read such a list, so the tripwire checks those
-    normals too.  No list or packing is written after it is built.
+    this table held and shares nothing else.  It takes the lists of the
+    pairs with the moved colour c as they are: the normals of a pair
+    {c, b} span points of the other colours.  Every other list is a new
+    one (`_moved_normals`) that copies the normals whose colour-c point
+    stayed and builds only the (d+1)^(d-2) through each moved point.  A
+    colour of the successor may read such a list, so the tripwire checks
+    those normals too.  Each table packs every colour on first use, the
+    moved colour too.  No list or packing is written after it is built.
     """
 
     def __init__(self, points: Sequence[Sequence[IntVec]],
-                 normals: Optional[dict[tuple[int, int], list[IntVec]]] = None,
-                 colour_packings: Optional[dict[int, tuple]] = None):
+                 normals: Optional[dict[tuple[int, int], list[IntVec]]] = None):
         d = len(points) - 1
         n = d + 1
         self.dimension = d
@@ -385,7 +384,7 @@ class _MinorTable:
         self._point_zero = [full // comb for comb in self._combs]
         self._slots = n ** (n - 2)  # normals per pair
         self._normals = dict(normals or {})  # by colour pair
-        self._colour_packings = dict(colour_packings or {})  # by colour
+        self._colour_packings = {}  # by colour
         self._coordinate_bits = max(abs(x) for cls in self.points
                                     for p in cls for x in p).bit_length()
         self.minors, self.positive, self.negative = [], [], []
@@ -578,15 +577,13 @@ class _MinorTable:
     def successor(self) -> "_MinorTable":
         """The table of the last proposal's points, built by dot products
         with every normal list this table held: those of the pairs with the
-        moved colour as they are, with that colour's packing, the others
-        through `_moved_normals`.  Raises AssertionError unless its masks
-        are the proposal's."""
+        moved colour as they are, the others through `_moved_normals`.
+        Raises AssertionError unless its masks are the proposal's."""
         colour, moved, classes, through, positive, negative, lp, inside = self._pending
         table = _MinorTable(
             classes,
             {pair: normals if colour in pair else self._moved_normals(pair, colour, moved, classes)
-             for pair, normals in self._normals.items()},
-            {c: packed for c, packed in self._colour_packings.items() if c == colour})
+             for pair, normals in self._normals.items()})
         keep = ~through
         proposed = {"positive": [mask & keep | new for mask, new in zip(self.positive, positive)],
                     "negative": [mask & keep | new for mask, new in zip(self.negative, negative)],

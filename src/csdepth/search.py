@@ -29,11 +29,11 @@ with the packed signs of a proposal: it is the tripwire, and its sign
 masks and containing transversals must equal the proposal's.  The
 successor recomputes only what the move changed: it keeps the
 incumbent's normal lists, rebuilding in each only the normals through the
-moved points, and the moved colour's packing, which reads only lists the
-move left unchanged.  Every depth, incremental or full, is checked against
-the proven lower bound; a violation aborts the search with the offending
-configuration attached, since it would be a counterexample to the bound or
-a defect in the predicates underneath.
+moved points, and packs each colour again on first use.  Every depth,
+incremental or full, is checked against the proven lower bound; a
+violation aborts the search with the offending configuration attached,
+since it would be a counterexample to the bound or a defect in the
+predicates underneath.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .configuration import Configuration, configuration_to_json_dict, validate
 from .depth import _cofactor_verdict, _cofactors, _MinorTable, origin_in_convex_hull
 from .errors import InputError, ViolationError, check_dimension
-from .exactgeom import IntVec, normal_to_span, vec_dot, vec_neg
+from .exactgeom import IntVec, Point, normal_to_span, vec_dot, vec_neg
 from .witness import theorem_bound
 
 _DENOMINATOR = 1 << 16
@@ -95,8 +95,8 @@ def _configuration(d: int, points: Sequence[Sequence[IntVec]]) -> Configuration:
                                         for p in cls) for cls in points))
 
 
-def _anchored_class(points: list[tuple[Fraction, ...]], d: int
-                    ) -> tuple[tuple[Fraction, ...], ...]:
+def _anchored_class(points: Sequence[Union[Point, IntVec]], d: int
+                    ) -> tuple[Union[Point, IntVec], ...]:
     anchor = tuple(-sum(p[k] for p in points) for k in range(d))
     return tuple(points) + (anchor,)
 
@@ -238,7 +238,7 @@ def minimize_depth(d: int, restarts: int, steps: int, seed: int) -> SearchReport
                     rejected += 1
                     continue
                 # pull the origin back as the mean of the class
-                cls[d] = tuple(-sum(p[k] for p in cls[:d]) for k in range(d))
+                cls[d] = _anchored_class(cls[:d], d)[d]
             candidate = points[:]
             candidate[colour] = cls
             trial_depth = screen.lower_bound(candidate, colour)

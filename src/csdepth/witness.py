@@ -77,15 +77,6 @@ class WitnessSet:
         }
 
 
-def _stage_quotas(d: int) -> list[int]:
-    quotas = []
-    q = d + 1
-    while q > 0:
-        quotas.append(q)
-        q -= 2
-    return quotas
-
-
 def _derive_seed(seed: int, stage: int) -> int:
     return seed * 1_000_003 + stage
 
@@ -110,7 +101,7 @@ def generate_witnesses(config: Configuration, seed: int = 0) -> WitnessSet:
     staged_ok = zero_interior and d <= DIMENSION_LIMITS["exact coverage"]
     if staged_ok:
         used: dict[int, set[int]] = {c: set() for c in range(d + 1)}
-        for stage_index, quota in enumerate(_stage_quotas(d)):
+        for stage_index, quota in enumerate(range(d + 1, 0, -2)):
             colour = stage_index
             subset = tuple(c for c in range(d + 1) if c != colour)
             # heuristic candidates only: if they miss, full enumeration is far

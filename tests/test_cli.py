@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csdepth.configuration
 import csdepth.depth
@@ -471,3 +476,100 @@ class TestSweepCallers:
         assert result["manifest"]["output_digest"] == "sha256:" + digest
         assert len(sweeps) == 1
         assert result["result"]["checks"][0]["name"] == "validation"
+
+
+def _commands(path, d=2):
+    """Every command that reads an input file, by name, with the options it
+    needs for a d-dimensional one."""
+    colours = ",".join(str(c) for c in range(d))
+    direction = ",".join(["1", "-1/2"][:d])
+    return {"depth": ["depth", path], "witness": ["witness", path],
+            "verify": ["verify", path], "cross": ["cross", path, "--colours", colours],
+            "ddepth": ["ddepth", path, "--colours", colours, "--dir", direction],
+            "cross-check": ["cross-check", path]}
+
+
+class TestMalformedJson:
+    """Inputs the JSON decoder rejects with something other than a
+    `JSONDecodeError` are bad input all the same: exit 2 and one error
+    line, not a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+        pytest.param('{"d": 2, "colours": [], "note": ' + "7" * 4301 + "}",
+                     id="integer-of-4301-digits"),
+    ])
+    @pytest.mark.parametrize("command", list(_commands("")))
+    def test_exits_2(self, tmp_path, capsys, text, command):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *_commands(str(path))[command])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _broken_documents(draw):
+    """(d, a document): a valid configuration or pair family of dimension
+    1 or 2, with at most one field broken."""
+    d = draw(st.integers(1, 2))
+    colours = configuration_to_json_dict(random_configuration(d, draw(st.integers(0, 3))))
+    colours = colours["colours"]
+    if draw(st.booleans()):
+        colours = [cls[:2] for cls in colours[:d]]  # a pair family
+    doc = {"d": d, "colours": colours}
+    c = draw(st.integers(0, len(colours) - 1))
+    j = draw(st.integers(0, len(colours[c]) - 1))
+    k = draw(st.integers(0, d - 1))
+    broken = draw(st.sampled_from(["none", "classes", "points", "coordinates",
+                                   "non-string", "malformed", "zero", "d"]))
+    grow = draw(st.booleans())
+    if broken == "classes":
+        colours[len(colours) - 1:] = [colours[0], colours[0]] if grow else []
+    elif broken == "points":
+        colours[c] = colours[c] + [colours[c][0]] if grow else colours[c][1:]
+    elif broken == "coordinates":
+        colours[c][j] = colours[c][j] + ["1"] if grow else colours[c][j][1:]
+    elif broken == "non-string":
+        colours[c][j][k] = draw(_json_values.filter(lambda v: not isinstance(v, str)))
+    elif broken == "malformed":
+        colours[c][j][k] = draw(st.sampled_from(["", "1/0", "-0/0", "1//2", "1/-2", "+-1",
+                                                 " 1", "1e3", "0x10", "1.5", "١",
+                                                 "1/" + "9" * 400])
+                                | st.text(max_size=6))
+    elif broken == "zero":
+        colours[c][j] = ["0"] * d
+    elif broken == "d":
+        doc["d"] = draw(st.sampled_from([True, False, float(d), -d, 0]))
+    return d, doc
+
+
+class TestFuzzedInput:
+    """Every command that reads a file, on arbitrary JSON and on valid
+    documents with one field broken, exits 0 or 2 and raises nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(1, 2), _json_values),
+                     st.tuples(st.integers(1, 2),
+                               st.fixed_dictionaries({"d": _json_values,
+                                                      "colours": _json_values})),
+                     _broken_documents()))
+    def test_exits_0_or_2(self, case):
+        d, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in _commands(path, d).values():
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 2), argv

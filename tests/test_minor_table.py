@@ -205,13 +205,12 @@ class TestOneNormalListPerPair:
         assert successor._normals.keys() == table._normals.keys()
         for pair in shared:
             assert successor._normals[pair] is table._normals[pair]
-            assert successor._colour_packings[colour] is table._colour_packings[colour]
         for pair in rebuilt:
             assert successor._normals[pair] is not table._normals[pair]
             assert successor._normals[pair] == fresh_normals(successor.points, pair)
-            assert not set(pair) & successor._colour_packings.keys()  # packed on first use
+        assert not successor._colour_packings  # every colour packed on first use
 
-    def test_successor_takes_over_the_moved_colours_packing(self):
+    def test_successor_packs_the_moved_colour_afresh(self):
         d = 3
         rng = random.Random(13)
 
@@ -227,21 +226,22 @@ class TestOneNormalListPerPair:
         packed = table._colour_packings[colour]
         columns = list(packed[2])
         successor = table.successor()
-        # the one packing of the moved colour, the same object, and no other
-        assert successor._colour_packings.keys() == {colour}
-        assert successor._colour_packings[colour] is packed
-        # a further proposal of that colour builds no packing
+        # the successor shares the normal lists and no packing
+        assert not successor._colour_packings
+        # its first proposal of the moved colour packs the same lists, so
+        # the same columns, into a packing of its own
         moved = list(successor.points[colour])
         moved[0] = point()
         successor.propose(colour, moved)
         assert successor._colour_packings.keys() == {colour}
-        assert successor._colour_packings[colour] is packed
+        own = successor._colour_packings[colour]
+        assert own is not packed and own[2] == columns
         assert successor.successor().depth == _MinorTable(successor._pending[2]).depth
-        # a point of more bits repacks the colour in the successor alone
+        # a point of more bits repacks the colour in that table alone
         moved[0] = ((1 << 80) + rng.randrange(1 << 80), *point()[1:])
         depth = successor.propose(colour, moved)
-        assert successor._colour_packings[colour] is not packed
-        assert successor._colour_packings[colour][0] >= 81 > packed[0]
+        assert successor._colour_packings[colour] is not own
+        assert successor._colour_packings[colour][0] >= 81 > own[0]
         assert table._colour_packings[colour] is packed and packed[2] == columns
         assert depth == successor.successor().depth == _MinorTable(successor._pending[2]).depth
 
@@ -253,7 +253,7 @@ class TestChainedSuccessors:
     taken over or built from its parent's, is a fresh `_span_normals` build.
     The chain moves one point, two points, the last point alone, no point,
     points that are multiples of another colour's point (zero normals and
-    minors), and a point of more bits than a packing taken over."""
+    minors), and a point of more bits than its parent's packing holds."""
 
     @staticmethod
     def check(table):
@@ -292,12 +292,12 @@ class TestChainedSuccessors:
                 other = (colour + 1 + rng.randrange(d)) % n
                 moved[j] = tuple(rng.choice([0, 2, -3]) * x for x in table.points[other][j])
             elif kind == "big":
-                # this colour was packed by the last proposal and its packing
-                # taken over, too narrow for minors of 80-bit points; a point
-                # of 80 bits packs the colour again, in this table alone
-                assert table._colour_packings[colour] is parent._colour_packings[colour]
+                # the last proposal packed this colour too narrow for minors
+                # of 80-bit points, and its successor holds no packing; a
+                # point of 80 bits packs the colour wide, in this table alone
+                assert not table._colour_packings
                 spare = math.factorial(d).bit_length() + 1
-                assert 8 * table._colour_packings[colour][1] < 80 * d + spare
+                assert 8 * parent._colour_packings[colour][1] < 80 * d + spare
                 moved[j] = ((1 << 79) + rng.randrange(1 << 79), *point()[1:])
             table.propose(colour, moved)
             if kind == "big":
@@ -493,8 +493,8 @@ class TestPackedSigns:
             table = check_proposal(table, c, moved)
 
         # a point of more bits than every point the packing has seen: a
-        # smaller move reads the packing taken over, and the bigger one
-        # repacks it
+        # smaller move packs the colour afresh, and the bigger one repacks
+        # it
         moved = list(table.points[colour])
         j = data.draw(st.integers(0, d))
         moved[j] = tuple(x + 1 for x in moved[j])
